@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -37,13 +36,22 @@ from .pisot import (
     min_poly_quadratic,
 )
 from .pointset import (
+    QUANT,
     ExactCoords,
     PointPatch,
     check_meyerian,
     integer_lattice_patch,
+    make_patch,
 )
 from .ring import QuadInt
-from .spectral import Character, default_schedule, palm_profile, set_threads, twisted_density
+from .spectral import (
+    Character,
+    _frequency_grid,
+    default_schedule,
+    palm_profile,
+    set_threads,
+    twisted_density,
+)
 
 COMMANDS = ("generate", "check", "project", "fibers", "density", "spectrum", "bragg", "pisot")
 
@@ -108,7 +116,9 @@ def patch_from_doc(doc: dict) -> PointPatch:
         qa = np.array([[pair[0] for pair in p["exact"]["q"]] for p in pts], dtype=np.int64).reshape(n, group.dim_q)
         qb = np.array([[pair[1] for pair in p["exact"]["q"]] for p in pts], dtype=np.int64).reshape(n, group.dim_q)
         exact = ExactCoords(za=za, zb=zb, qa=qa, qb=qb, d=d)
-    return PointPatch(
+        if not np.abs(np.hstack([exact.embed_z() - z, exact.embed_q() - q])).max() <= QUANT:
+            raise QuasilatError(f"exact and float coordinates disagree by more than {QUANT:g}")
+    return make_patch(
         group=group,
         z=z,
         q=q,
@@ -365,11 +375,6 @@ def _cmd_density(args, parser) -> int:
     return 0
 
 
-def _frequency_grid(K: float, h: float) -> np.ndarray:
-    k = int(math.floor(K / h + 1e-9))
-    return np.arange(-k, k + 1, dtype=float) * h
-
-
 def _cmd_spectrum(args, parser) -> int:
     _require_positive(parser, K=args.K, h=args.h, T=args.T)
     P = load_patch(args.inp)
@@ -378,9 +383,9 @@ def _cmd_spectrum(args, parser) -> int:
     grid = _frequency_grid(args.K, args.h)
     fiber_rows = _identity_fiber(P)
     schedule = default_schedule(args.T)
-    c_vals = palm_profile(P, grid.reshape(-1, 1), args.S, args.T)
+    c_vals = palm_profile(P, grid, args.S, args.T)
     lines = ["theta,re_D,im_D,abs_D_sq,c_xi,T,cauchy_tail"]
-    for theta, c in zip(grid, c_vals):
+    for theta, c in zip(grid[:, 0], c_vals):
         est = twisted_density(fiber_rows, Character((float(theta),)), schedule, core=P.core_z)
         lines.append(
             ",".join(

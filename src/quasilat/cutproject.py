@@ -22,7 +22,15 @@ from .errors import (
     ThresholdTooSmallError,
 )
 from .group import CentralExtensionGroup, Cocycle, abelian_group
-from .pointset import ExactCoords, PointPatch, make_patch, min_gap, minkowski
+from .pointset import (
+    ExactCoords,
+    PointPatch,
+    _is_symmetric_with_identity,
+    group_rows,
+    make_patch,
+    min_gap,
+    minkowski,
+)
 from .ring import silver_points
 
 MATCH_TOL = 1e-9
@@ -190,15 +198,6 @@ def cartesian_flat(p1: PointPatch, p2: PointPatch) -> PointPatch:
     )
 
 
-def _is_symmetric_with_identity(p: PointPatch) -> bool:
-    from .pointset import inverse_set
-
-    ident = tuple(np.zeros(p.key_matrix.shape[1], dtype=np.int64).tolist())
-    if ident not in p.key_set:
-        return False
-    return {tuple(r) for r in inverse_set(p).key_matrix.tolist()} == p.key_set
-
-
 @dataclass(frozen=True)
 class ConditionReport:
     """Patch-level verdict on beta(Delta^2, Delta) subset of Xi^k."""
@@ -250,47 +249,27 @@ def check_symplectic_condition(
         and cocycle.is_integral
     )
     if exact_ok:
-        M = cocycle.stack.astype(np.int64)
         ea, eb, d = Delta.exact.za, Delta.exact.zb, Delta.exact.d
-        Ba = np.einsum("kij,ni,mj->nmk", M, ea, ea) + d * np.einsum("kij,ni,mj->nmk", M, eb, eb)
-        Bb = np.einsum("kij,ni,mj->nmk", M, ea, eb) + np.einsum("kij,ni,mj->nmk", M, eb, ea)
-        ta = (Ba[:, None, :, :] + Ba[None, :, :, :]).reshape(n * n * n, dz)
-        tb = (Bb[:, None, :, :] + Bb[None, :, :, :]).reshape(n * n * n, dz)
-        cols = []
-        for c in range(dz):
-            cols.extend((ta[:, c], tb[:, c]))
-        keys = np.column_stack(cols)
-        uniq = np.unique(keys, axis=0)
-        member = {tuple(r) for r in sum_patch.key_matrix.tolist()}
-        for row in uniq.tolist():
-            if tuple(row) not in member:
-                a = np.array(row[0::2], dtype=float)
-                b = np.array(row[1::2], dtype=float)
-                wit = tuple((a + b * math.sqrt(d)).tolist())
-                return ConditionReport(
-                    holds=False, k=k, n_checked=n ** 3, max_abs_beta=max_abs,
-                    coverage=coverage, witness=wit,
-                )
-        return ConditionReport(
-            holds=True, k=k, n_checked=n ** 3, max_abs_beta=max_abs,
-            coverage=coverage, witness=None,
+        Ba, Bb = cocycle.beta_exact(ea[:, None, :], eb[:, None, :], ea[None, :, :], eb[None, :, :], d)
+        empty = np.zeros((n ** 3, 0), dtype=np.int64)
+        triples = ExactCoords(
+            za=(Ba[:, None, :, :] + Ba[None, :, :, :]).reshape(n ** 3, dz),
+            zb=(Bb[:, None, :, :] + Bb[None, :, :, :]).reshape(n ** 3, dz),
+            qa=empty, qb=empty, d=d,
         )
-    uniq = np.unique(triple, axis=0)
-    if sum_patch.n == 0:
-        return ConditionReport(
-            holds=False, k=k, n_checked=n ** 3, max_abs_beta=max_abs,
-            coverage=coverage, witness=tuple(uniq[0].tolist()),
-        )
-    dist, _ = cKDTree(sum_patch.z).query(uniq)
-    bad = np.flatnonzero(dist > MATCH_TOL)
-    if len(bad):
-        return ConditionReport(
-            holds=False, k=k, n_checked=n ** 3, max_abs_beta=max_abs,
-            coverage=coverage, witness=tuple(uniq[bad[0]].tolist()),
-        )
+        keys = triples.key_matrix()
+        order, starts = group_rows(keys)
+        uniq = order[starts]
+        missing = [i for i, row in zip(uniq, keys[uniq].tolist()) if tuple(row) not in sum_patch.key_set]
+        witness = tuple(triples.take(missing[:1]).embed_z()[0].tolist()) if missing else None
+    else:
+        uniq = np.unique(triple, axis=0)
+        dist = cKDTree(sum_patch.z).query(uniq)[0] if sum_patch.n else np.full(len(uniq), np.inf)
+        bad = np.flatnonzero(dist > MATCH_TOL)
+        witness = tuple(uniq[bad[0]].tolist()) if len(bad) else None
     return ConditionReport(
-        holds=True, k=k, n_checked=n ** 3, max_abs_beta=max_abs,
-        coverage=coverage, witness=None,
+        holds=witness is None, k=k, n_checked=n ** 3, max_abs_beta=max_abs,
+        coverage=coverage, witness=witness,
     )
 
 
@@ -431,11 +410,8 @@ def alignment_report(
     idx = np.flatnonzero(in_qcore)
     if len(idx) == 0:
         raise InsufficientWindowError("no points over the q-core")
-    order = idx[np.lexsort(tuple(qkeys[idx][:, c] for c in range(qkeys.shape[1] - 1, -1, -1)))]
-    keys_sorted = qkeys[order]
-    starts = np.flatnonzero(
-        np.concatenate([[True], np.any(keys_sorted[1:] != keys_sorted[:-1], axis=1)])
-    )
+    order, starts = group_rows(qkeys[idx])
+    order = idx[order]
     bounds = np.append(starts, len(order))
     reports: list[FiberReport] = []
     for s, e in zip(bounds[:-1], bounds[1:]):
@@ -518,12 +494,8 @@ def fiber_cardinality_profile(P: PointPatch, k_max: int) -> tuple[int, ...]:
         rows = np.flatnonzero(mask)
         if len(rows) == 0:
             raise InsufficientWindowError(f"P^{k} has no points on the base core")
-        qk = clipped.q_key_matrix[rows]
-        if qk.shape[1] == 0:
-            out.append(len(rows))
-        else:
-            _, counts = np.unique(qk, axis=0, return_counts=True)
-            out.append(int(counts.max()))
+        _, starts = group_rows(clipped.q_key_matrix[rows])
+        out.append(int(np.diff(np.append(starts, len(rows))).max()))
         if k < k_max:
             current = minkowski(clipped, P)
     return tuple(out)

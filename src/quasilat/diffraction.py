@@ -19,8 +19,16 @@ from scipy.spatial import cKDTree
 
 from .errors import DegenerateDensityError, InsufficientWindowError, WindowShortfallError
 from .group import ball_volume, gauge_ball_volume
-from .pointset import ExactCoords, PointPatch, _as_block
-from .spectral import Character, SampledFunction, palm_profile, twisted_density
+from .pointset import QUANT, ExactCoords, PointPatch, _as_block, _quant_keys, group_rows
+from .spectral import (
+    Character,
+    SampledFunction,
+    _frequency_grid,
+    _max_gap,
+    fiber_partition,
+    palm_profile,
+    twisted_density,
+)
 
 
 @dataclass(frozen=True)
@@ -81,13 +89,12 @@ def _aggregate_keys(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, n
     """Sum counts over equal key rows; returns (unique keys, summed counts)."""
     if len(keys) == 0:
         return keys, counts
-    order = np.lexsort(tuple(keys[:, c] for c in range(keys.shape[1] - 1, -1, -1)))
-    ks = keys[order]
-    cs = counts[order]
-    new = np.concatenate([[True], np.any(ks[1:] != ks[:-1], axis=1)])
-    starts = np.flatnonzero(new)
-    summed = np.add.reduceat(cs, starts)
-    return ks[starts], summed
+    order, starts = group_rows(keys)
+    return keys[order[starts]], np.add.reduceat(counts[order], starts)
+
+
+def _count_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return _aggregate_keys(keys, np.ones(len(keys), dtype=np.int64))
 
 
 def _flat_autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedPointMeasure:
@@ -106,8 +113,7 @@ def _flat_autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedPoi
         if P.exact is not None:
             dza = P.exact.za[cols, 0] - P.exact.za[i_idx, 0]
             dzb = P.exact.zb[cols, 0] - P.exact.zb[i_idx, 0]
-            keys = np.column_stack([dza, dzb])
-            uniq, counts = np.unique(keys, axis=0, return_counts=True)
+            uniq, counts = _count_keys(np.column_stack([dza, dzb]))
             z_atoms = (uniq[:, 0] + uniq[:, 1] * math.sqrt(P.exact.d)).reshape(-1, 1)
             exact = ExactCoords(
                 za=uniq[:, :1], zb=uniq[:, 1:2],
@@ -116,9 +122,8 @@ def _flat_autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedPoi
                 d=P.exact.d,
             )
         else:
-            keys = np.round(dvals / 1e-9).astype(np.int64).reshape(-1, 1)
-            uniq, counts = np.unique(keys, axis=0, return_counts=True)
-            z_atoms = (uniq[:, 0] * 1e-9).reshape(-1, 1)
+            uniq, counts = _count_keys(_quant_keys(dvals).reshape(-1, 1))
+            z_atoms = uniq * QUANT
             exact = None
         return WeightedPointMeasure(
             dim_z=1, dim_q=0, z=z_atoms, q=np.zeros((len(z_atoms), 0)),
@@ -132,11 +137,11 @@ def _flat_autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedPoi
         js = np.asarray(tree.query_ball_point(P.z[i], range_ + 1e-9), dtype=np.int64)
         d = P.z[js] - P.z[i][None, :]
         keep = np.sqrt(np.sum(d * d, axis=1)) <= range_ + 1e-12
-        key_rows.append(np.round(d[keep] / 1e-9).astype(np.int64))
+        key_rows.append(_quant_keys(d[keep]))
     keys = np.concatenate(key_rows, axis=0) if key_rows else np.zeros((0, dz), dtype=np.int64)
-    uniq, counts = np.unique(keys, axis=0, return_counts=True)
+    uniq, counts = _count_keys(keys)
     return WeightedPointMeasure(
-        dim_z=dz, dim_q=0, z=uniq * 1e-9, q=np.zeros((len(uniq), 0)),
+        dim_z=dz, dim_q=0, z=uniq * QUANT, q=np.zeros((len(uniq), 0)),
         weights=counts / vol, range_=range_, normalization=vol, exact=None,
     )
 
@@ -146,41 +151,43 @@ def _mixed_autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedPo
         raise NotImplementedError("mixed autocorrelation implemented for one central dimension")
     g = P.group
     vol = gauge_ball_volume(P.dim_z, P.dim_q, T)
-    from .spectral import fiber_partition
-
     order, bounds = fiber_partition(P)
-    n_fib = len(bounds) - 1
-    deltas = P.q[order[bounds[:-1]]]
+    heads = order[bounds[:-1]]
+    deltas = P.q[heads]
     fiber_z = []
     fiber_za = []
     fiber_zb = []
-    fiber_rows = []
     for s, e in zip(bounds[:-1], bounds[1:]):
         rows = order[s:e]
         zvals = P.z[rows, 0]
         srt = np.argsort(zvals, kind="stable")
-        fiber_rows.append(rows[srt])
         fiber_z.append(zvals[srt])
         if P.exact is not None:
             fiber_za.append(P.exact.za[rows[srt], 0])
             fiber_zb.append(P.exact.zb[rows[srt], 0])
     exact_mode = P.exact is not None and g.cocycle.is_integral
+    if exact_mode:
+        head_qa, head_qb = P.exact.qa[heads], P.exact.qb[heads]
+        head_keys = P.q_key_matrix[heads]
     dnorm = np.sqrt(np.sum(deltas * deltas, axis=1))
     x_fibers = np.flatnonzero(dnorm <= T + 1e-12)
     center_tree = cKDTree(deltas)
     r2 = range_ * range_
     all_keys: list[np.ndarray] = []
     all_counts: list[np.ndarray] = []
-    M_int = g.cocycle.stack.astype(np.int64)
-    d_rad = P.exact.d if P.exact is not None else 2
     for fi in x_fibers:
         z1 = fiber_z[fi]
         x_mask = np.abs(z1) <= T * T + 1e-12
         if not np.any(x_mask):
             continue
+        x_idx = np.flatnonzero(x_mask)
         z1m = z1[x_mask]
-        neighbors = sorted(center_tree.query_ball_point(deltas[fi], range_ + 1e-9))
-        for fj in neighbors:
+        neighbors = np.array(sorted(center_tree.query_ball_point(deltas[fi], range_ + 1e-9)))
+        if exact_mode:
+            ca, cb = g.cocycle.beta_exact(
+                head_qa[fi], head_qb[fi], head_qa[neighbors], head_qb[neighbors], P.exact.d
+            )
+        for nj, fj in enumerate(neighbors):
             dq = deltas[fj] - deltas[fi]
             if math.sqrt(float(np.dot(dq, dq))) > range_ + 1e-12:
                 continue
@@ -197,38 +204,15 @@ def _mixed_autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedPo
             if len(rows) == 0:
                 continue
             if exact_mode:
-                qa_i = P.exact.qa[fiber_rows[fi][0]]
-                qb_i = P.exact.qb[fiber_rows[fi][0]]
-                qa_j = P.exact.qa[fiber_rows[fj][0]]
-                qb_j = P.exact.qb[fiber_rows[fj][0]]
-                ca = int(np.einsum("kij,i,j->k", M_int, qa_i, qa_j)[0]) + d_rad * int(
-                    np.einsum("kij,i,j->k", M_int, qb_i, qb_j)[0]
-                )
-                cb = int(np.einsum("kij,i,j->k", M_int, qa_i, qb_j)[0]) + int(
-                    np.einsum("kij,i,j->k", M_int, qb_i, qa_j)[0]
-                )
-                x_rows = np.flatnonzero(x_mask)[rows]
-                dza = fiber_za[fj][cols] - fiber_za[fi][x_rows] - ca
-                dzb = fiber_zb[fj][cols] - fiber_zb[fi][x_rows] - cb
-                dqa = qa_j - qa_i
-                dqb = qb_j - qb_i
-                pair_keys = np.column_stack([dza, dzb])
-                uniqk, cnt = np.unique(pair_keys, axis=0, return_counts=True)
-                fixed = np.empty(2 * len(dqa), dtype=np.int64)
-                fixed[0::2] = dqa
-                fixed[1::2] = dqb
-                full = np.column_stack([uniqk, np.tile(fixed, (len(uniqk), 1))])
-                all_keys.append(full)
-                all_counts.append(cnt)
+                dza = fiber_za[fj][cols] - fiber_za[fi][x_idx[rows]] - ca[nj, 0]
+                dzb = fiber_zb[fj][cols] - fiber_zb[fi][x_idx[rows]] - cb[nj, 0]
+                uniqk, cnt = _count_keys(np.column_stack([dza, dzb]))
+                fixed = head_keys[fj] - head_keys[fi]
             else:
-                keyz = np.round(dz / 1e-9).astype(np.int64).reshape(-1, 1)
-                uniqk, cnt = np.unique(keyz, axis=0, return_counts=True)
-                keyq = np.round(dq / 1e-9).astype(np.int64)
-                full = np.column_stack(
-                    [uniqk, np.repeat(keyq[None, :], len(uniqk), axis=0)]
-                )
-                all_keys.append(full)
-                all_counts.append(cnt)
+                uniqk, cnt = _count_keys(_quant_keys(dz).reshape(-1, 1))
+                fixed = _quant_keys(dq)
+            all_keys.append(np.column_stack([uniqk, np.tile(fixed, (len(uniqk), 1))]))
+            all_counts.append(cnt)
     if not all_keys:
         empty = np.zeros((0, P.dim_q))
         return WeightedPointMeasure(
@@ -239,15 +223,15 @@ def _mixed_autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedPo
     counts = np.concatenate(all_counts, axis=0).astype(np.int64)
     keys, counts = _aggregate_keys(keys, counts)
     if exact_mode:
-        dq_cols = keys[:, 2:]
-        z_atoms = (keys[:, 0] + keys[:, 1] * math.sqrt(d_rad)).reshape(-1, 1)
-        qa = dq_cols[:, 0::2]
-        qb = dq_cols[:, 1::2]
-        q_atoms = qa + qb * math.sqrt(d_rad)
-        exact = ExactCoords(za=keys[:, :1], zb=keys[:, 1:2], qa=qa, qb=qb, d=d_rad)
+        d = P.exact.d
+        z_atoms = (keys[:, 0] + keys[:, 1] * math.sqrt(d)).reshape(-1, 1)
+        qa = keys[:, 2::2]
+        qb = keys[:, 3::2]
+        q_atoms = qa + qb * math.sqrt(d)
+        exact = ExactCoords(za=keys[:, :1], zb=keys[:, 1:2], qa=qa, qb=qb, d=d)
     else:
-        z_atoms = (keys[:, 0] * 1e-9).reshape(-1, 1)
-        q_atoms = keys[:, 1:] * 1e-9
+        z_atoms = keys[:, :1] * QUANT
+        q_atoms = keys[:, 1:] * QUANT
         exact = None
     return WeightedPointMeasure(
         dim_z=1, dim_q=P.dim_q, z=z_atoms, q=q_atoms,
@@ -366,30 +350,18 @@ def bragg_scan(
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0, 1)")
     m = P.dim_z
-    k = int(math.floor(K / h + 1e-9))
-    axis = np.arange(-k, k + 1, dtype=float) * h
-    if len(axis) ** m > 40_000_000:
-        raise ValueError("frequency grid too fine; increase h")
-    grid = np.stack(np.meshgrid(*([axis] * m), indexing="ij"), axis=-1).reshape(-1, m)
+    grid = _frequency_grid(K, h, m)
     c1 = float(palm_profile(P, np.zeros((1, m)), S, T)[0])
     if c1 < 1e-9:
         raise DegenerateDensityError(f"c_1 = {c1:.3g} is below 1e-9")
     c_values = palm_profile(P, grid, S, T)
     mask = c_values >= (1.0 - eps) * c1
-    peaks = grid[mask]
-    if len(peaks) < 2:
-        gap = math.inf
-    elif m == 1:
-        gap = float(np.max(np.diff(np.sort(peaks[:, 0]))))
-    else:
-        dist, _ = cKDTree(peaks).query(grid)
-        gap = 2.0 * float(dist.max())
     return BraggReport(
         thetas=grid,
         c_values=c_values,
         peak_mask=mask,
         c_1=c1,
-        max_gap=gap,
+        max_gap=_max_gap(grid[mask], grid),
         eps=float(eps),
         K=float(K),
         h=float(h),

@@ -18,9 +18,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ring import QuadInt
+from .errors import CoefficientOverflowError
+from .ring import COEFF_LIMIT, QuadInt
 
 Matrix = Sequence[Sequence[float]]
+
+
+def _max_abs(*arrays: np.ndarray) -> int:
+    """Largest |entry| as a Python int; np.abs would leave -2**63 negative."""
+    return max((max(int(a.max()), -int(a.min())) for a in arrays if a.size), default=0)
 
 
 @dataclass(frozen=True)
@@ -87,6 +93,25 @@ class Cocycle:
         v = np.asarray(v, dtype=float).reshape(self.dim_q)
         w = np.asarray(w, dtype=float).reshape(self.dim_q)
         return np.einsum("kij,i,j->k", self._stack, v, w)
+
+    def beta_exact(
+        self, va: np.ndarray, vb: np.ndarray, wa: np.ndarray, wb: np.ndarray, d: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Exact beta(va + vb*sqrt(d), wa + wb*sqrt(d)) of an integral cocycle
+        as integer pairs (a, b), broadcasting over the leading axes of the
+        (..., dim_q) inputs.  The size bound is checked before any product
+        is formed, so int64 never wraps."""
+        va, vb, wa, wb = (np.asarray(x, dtype=np.int64) for x in (va, vb, wa, wb))
+        M = self._stack.astype(np.int64)
+        weight = int(np.abs(M).sum(axis=(1, 2)).max(initial=0))
+        if _max_abs(va, vb) * _max_abs(wa, wb) * (1 + d) * weight > COEFF_LIMIT:
+            raise CoefficientOverflowError("exact cocycle products would exceed the safe limit")
+
+        def form(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+            return np.einsum("kij,...i,...j->...k", M, x, y)
+
+        # (a1 + b1 rt)(a2 + b2 rt) = (a1 a2 + d b1 b2) + (a1 b2 + b1 a2) rt
+        return form(va, wa) + d * form(vb, wb), form(va, wb) + form(vb, wa)
 
     def beta_rows(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Row-wise beta for (n, dim_q) arrays, returning (n, dim_z)."""

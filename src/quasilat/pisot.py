@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .pointset import PointPatch, _stack_columns
+from .pointset import ExactCoords, PointPatch
 from .group import GroupElement
 from .ring import QuadInt
 
@@ -295,12 +295,7 @@ def dilation_invariance(
     e = P.exact
     za, zb = _scale_int_pairs(e.za[idx], e.zb[idx], tz)
     qa, qb = _scale_int_pairs(e.qa[idx], e.qb[idx], tq)
-    cols: list[np.ndarray] = []
-    for k in range(za.shape[1]):
-        cols.extend((za[:, k], zb[:, k]))
-    for k in range(qa.shape[1]):
-        cols.extend((qa[:, k], qb[:, k]))
-    keys = _stack_columns(cols)
+    keys = ExactCoords(za=za, zb=zb, qa=qa, qb=qb, d=e.d).key_matrix()
     key_set = P.key_set
     missing = np.array(
         [tuple(row) not in key_set for row in keys.tolist()], dtype=bool

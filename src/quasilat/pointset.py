@@ -10,7 +10,7 @@ the inputs have them, so membership questions never depend on floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
@@ -22,7 +22,7 @@ from .errors import (
     CoefficientOverflowError,
     InsufficientWindowError,
 )
-from .group import CentralExtensionGroup, GroupElement
+from .group import CentralExtensionGroup, GroupElement, _max_abs
 from .ring import COEFF_LIMIT, QuadInt
 
 QUANT = 1e-9  # float coordinates closer than this collapse to one key
@@ -79,23 +79,15 @@ class ExactCoords:
     def embed_q(self) -> np.ndarray:
         return self.qa + self.qb * math.sqrt(self.d)
 
-    def key_columns(self) -> list[np.ndarray]:
-        cols: list[np.ndarray] = []
-        for k in range(self.za.shape[1]):
-            cols.extend((self.za[:, k], self.zb[:, k]))
-        for k in range(self.qa.shape[1]):
-            cols.extend((self.qa[:, k], self.qb[:, k]))
-        return cols
+    def key_matrix(self) -> np.ndarray:
+        """Integer key columns za0, zb0, za1, zb1, ..., then qa0, qb0, ..."""
+        return np.hstack([_interleave(self.za, self.zb), self.q_key_matrix()])
 
-    def q_key_columns(self) -> list[np.ndarray]:
-        cols: list[np.ndarray] = []
-        for k in range(self.qa.shape[1]):
-            cols.extend((self.qa[:, k], self.qb[:, k]))
-        return cols
+    def q_key_matrix(self) -> np.ndarray:
+        return _interleave(self.qa, self.qb)
 
     def max_abs(self) -> int:
-        vals = [int(np.abs(a).max()) for a in (self.za, self.zb, self.qa, self.qb) if a.size]
-        return max(vals) if vals else 0
+        return _max_abs(self.za, self.zb, self.qa, self.qb)
 
     def point(self, i: int) -> tuple[tuple[QuadInt, ...], tuple[QuadInt, ...]]:
         zx = tuple(QuadInt(int(self.za[i, k]), int(self.zb[i, k]), self.d) for k in range(self.za.shape[1]))
@@ -103,8 +95,34 @@ class ExactCoords:
         return zx, qx
 
 
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.empty((len(a), 2 * a.shape[1]), dtype=np.int64)
+    out[:, 0::2] = a
+    out[:, 1::2] = b
+    return out
+
+
 def _quant_keys(arr: np.ndarray) -> np.ndarray:
     return np.round(arr / QUANT).astype(np.int64)
+
+
+def _key_matrix(z: np.ndarray, q: np.ndarray, exact: Optional[ExactCoords]) -> np.ndarray:
+    """Integer identity per point: exact pairs when present, else
+    coordinates quantized at QUANT."""
+    return exact.key_matrix() if exact is not None else _quant_keys(np.hstack([z, q]))
+
+
+def group_rows(keys: np.ndarray, tiebreak: Sequence[np.ndarray] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """Sort integer key rows (column 0 primary, then later columns, then
+    the tiebreak columns in the order given) and return (order, starts):
+    keys[order] splits into runs of equal rows beginning at starts."""
+    cols = tuple(reversed(tiebreak)) + tuple(keys[:, c] for c in range(keys.shape[1] - 1, -1, -1))
+    order = np.lexsort(cols) if cols else np.arange(len(keys))
+    new = np.arange(len(keys)) == 0
+    for col in keys.T:
+        ks = col[order]
+        new[1:] |= ks[1:] != ks[:-1]
+    return order, np.flatnonzero(new)
 
 
 def _as_block(arr, width: int) -> np.ndarray:
@@ -112,12 +130,6 @@ def _as_block(arr, width: int) -> np.ndarray:
     out = np.ascontiguousarray(arr, dtype=float)
     out = out.reshape(-1, width) if width else out.reshape(len(out), 0)
     return out
-
-
-def _stack_columns(cols: Sequence[np.ndarray]) -> np.ndarray:
-    if not cols:
-        return np.zeros((0, 0), dtype=np.int64)
-    return np.column_stack([np.asarray(c, dtype=np.int64) for c in cols])
 
 
 @dataclass(frozen=True)
@@ -173,20 +185,11 @@ class PointPatch:
 
     @cached_property
     def key_matrix(self) -> np.ndarray:
-        """Integer identity per point: exact pairs when present, else
-        coordinates quantized at 1e-9."""
-        if self.exact is not None:
-            return _stack_columns(self.exact.key_columns())
-        return _stack_columns(
-            [_quant_keys(self.z[:, k]) for k in range(self.dim_z)]
-            + [_quant_keys(self.q[:, k]) for k in range(self.dim_q)]
-        )
+        return _key_matrix(self.z, self.q, self.exact)
 
     @cached_property
     def q_key_matrix(self) -> np.ndarray:
-        if self.exact is not None:
-            return _stack_columns(self.exact.q_key_columns())
-        return _stack_columns([_quant_keys(self.q[:, k]) for k in range(self.dim_q)])
+        return self.exact.q_key_matrix() if self.exact is not None else _quant_keys(self.q)
 
     @cached_property
     def key_set(self) -> set[tuple[int, ...]]:
@@ -273,20 +276,21 @@ def make_patch(
     store points in canonical order."""
     z = _as_block(z, group.dim_z)
     q = _as_block(q, group.dim_q)
-    if exact is not None:
-        keys = _stack_columns(exact.key_columns())
-    else:
-        keys = _stack_columns(
-            [_quant_keys(z[:, k]) for k in range(group.dim_z)]
-            + [_quant_keys(q[:, k]) for k in range(group.dim_q)]
-        )
     if len(z):
-        perm = _canonical_perm(z, q, keys)
-        keys = keys[perm]
-        if keys.shape[1]:
-            changed = np.ones(len(keys), dtype=bool)
-            changed[1:] = np.any(keys[1:] != keys[:-1], axis=1)
-            perm = perm[changed]
+        keys = _key_matrix(z, q, exact)
+        # One survivor per key: its lowest row in (q, z) order, earliest on
+        # ties, which is the row a canonical sort would put first.  Picking
+        # it by per-run minima costs less than adding the floats to the sort.
+        order, starts = group_rows(keys)
+        sizes = np.diff(np.append(starts, len(order)))
+        best = np.ones(len(order), dtype=bool)
+        for col in tuple(q.T) + tuple(z.T):
+            vals = col[order]
+            vals[~best] = np.inf
+            best &= vals == np.repeat(np.minimum.reduceat(vals, starts), sizes)
+        rows = np.flatnonzero(best)
+        keep = order[rows[np.searchsorted(rows, starts)]]
+        perm = keep[_canonical_perm(z[keep], q[keep], keys[keep])]
         z = z[perm]
         q = q[perm]
         exact = exact.take(perm) if exact is not None else None
@@ -367,28 +371,23 @@ def _exact_pair_product(p1: PointPatch, p2: PointPatch) -> Optional[ExactCoords]
     e1, e2 = p1.exact, p2.exact
     if e1 is None or e2 is None or e1.d != e2.d:
         return None
-    if not p1.group.cocycle.is_integral:
+    cocycle = p1.group.cocycle
+    if not cocycle.is_integral:
         return None
     if max(e1.max_abs(), e2.max_abs()) > _PAIR_GUARD:
         raise CoefficientOverflowError("exact coordinates too large for pairwise products")
     n, m = e1.n, e2.n
-    dz, dq = p1.dim_z, p1.dim_q
-    za = (e1.za[:, None, :] + e2.za[None, :, :]).reshape(n * m, dz)
-    zb = (e1.zb[:, None, :] + e2.zb[None, :, :]).reshape(n * m, dz)
-    qa = (e1.qa[:, None, :] + e2.qa[None, :, :]).reshape(n * m, dq)
-    qb = (e1.qb[:, None, :] + e2.qb[None, :, :]).reshape(n * m, dq)
-    if dq and dz:
-        M = p1.group.cocycle.stack.astype(np.int64)
-        d = e1.d
-        # (a1 + b1 rt)(a2 + b2 rt) = (a1 a2 + d b1 b2) + (a1 b2 + b1 a2) rt
-        beta_a = np.einsum("kij,ni,mj->nmk", M, e1.qa, e2.qa) + d * np.einsum(
-            "kij,ni,mj->nmk", M, e1.qb, e2.qb
+
+    def pair_sums(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+        return (a1[:, None, :] + a2[None, :, :]).reshape(n * m, a1.shape[1])
+
+    za, zb, qa, qb = (pair_sums(getattr(e1, f), getattr(e2, f)) for f in ("za", "zb", "qa", "qb"))
+    if p1.dim_q and p1.dim_z:
+        beta_a, beta_b = cocycle.beta_exact(
+            e1.qa[:, None, :], e1.qb[:, None, :], e2.qa[None, :, :], e2.qb[None, :, :], e1.d
         )
-        beta_b = np.einsum("kij,ni,mj->nmk", M, e1.qa, e2.qb) + np.einsum(
-            "kij,ni,mj->nmk", M, e1.qb, e2.qa
-        )
-        za = za + beta_a.reshape(n * m, dz)
-        zb = zb + beta_b.reshape(n * m, dz)
+        za = za + beta_a.reshape(n * m, p1.dim_z)
+        zb = zb + beta_b.reshape(n * m, p1.dim_z)
     out = ExactCoords(za=za, zb=zb, qa=qa, qb=qb, d=e1.d)
     if out.max_abs() > COEFF_LIMIT:
         raise CoefficientOverflowError("product coordinates exceed the safe limit")
@@ -445,6 +444,13 @@ def inverse_set(p: PointPatch) -> PointPatch:
     )
 
 
+def _is_symmetric_with_identity(p: PointPatch) -> bool:
+    """Whether p contains the identity and is closed under inversion."""
+    if (0,) * p.key_matrix.shape[1] not in p.key_set:
+        return False
+    return {tuple(row) for row in inverse_set(p).key_matrix.tolist()} == p.key_set
+
+
 def translate(p: PointPatch, g_elt: GroupElement) -> PointPatch:
     """Left translate {g*x : x in p} with honest core shrinkage."""
     g = p.group
@@ -469,13 +475,7 @@ def translate(p: PointPatch, g_elt: GroupElement) -> PointPatch:
         qa = e.qa + ga[None, :]
         qb = e.qb + gb[None, :]
         if g.dim_q and g.dim_z:
-            M = g.cocycle.stack.astype(np.int64)
-            beta_a = np.einsum("kij,i,nj->nk", M, ga, e.qa) + e.d * np.einsum(
-                "kij,i,nj->nk", M, gb, e.qb
-            )
-            beta_b = np.einsum("kij,i,nj->nk", M, ga, e.qb) + np.einsum(
-                "kij,i,nj->nk", M, gb, e.qa
-            )
+            beta_a, beta_b = g.cocycle.beta_exact(ga, gb, e.qa, e.qb, e.d)
             za = za + beta_a
             zb = zb + beta_b
         exact = ExactCoords(za=za, zb=zb, qa=qa, qb=qb, d=e.d)
@@ -739,12 +739,8 @@ def approximate_group_cover(p: PointPatch, cluster_radius: float = 1e-6) -> Cove
     form F.  The reported residual is the largest snap distance.
     """
     g = p.group
-    ident_key = tuple(np.zeros(p.key_matrix.shape[1], dtype=np.int64).tolist())
-    if ident_key not in p.key_set:
-        raise ValueError("patch must contain the identity")
-    inv_keys = {tuple(row) for row in inverse_set(p).key_matrix.tolist()}
-    if inv_keys != p.key_set:
-        raise ValueError("patch must be symmetric (closed under inversion)")
+    if not _is_symmetric_with_identity(p):
+        raise ValueError("patch must be symmetric and contain the identity")
     prod = minkowski(p, p).restrict(z_box=p.core_z, q_box=p.core_q)
     if prod.n == 0:
         raise InsufficientWindowError("no product points on the core")

@@ -18,12 +18,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .cutproject import fiber as extract_fiber
 from .cutproject import project
 from .errors import InsufficientWindowError
 from .group import Cocycle, GroupElement, ball_volume
-from .pointset import PointPatch, translate
+from .pointset import PointPatch, _quant_keys, group_rows, translate
 
 CONVERGENCE_ABS = 1e-3
 CONVERGENCE_REL = 0.05
@@ -181,17 +182,8 @@ def equivariance_residual(
 def fiber_partition(P: PointPatch) -> tuple[np.ndarray, np.ndarray]:
     """Order the patch rows by (q-key, |z|, z) and return (order, bounds);
     rows order[bounds[i]:bounds[i+1]] form one fiber."""
-    qk = P.q_key_matrix
     znorm = np.sqrt(np.sum(P.z * P.z, axis=1))
-    keys = tuple(P.z[:, c] for c in range(P.dim_z - 1, -1, -1)) + (znorm,)
-    keys = keys + tuple(qk[:, c] for c in range(qk.shape[1] - 1, -1, -1))
-    order = np.lexsort(keys)
-    sorted_keys = qk[order]
-    if sorted_keys.shape[1] == 0:
-        starts = np.array([0], dtype=np.int64) if len(order) else np.zeros(0, dtype=np.int64)
-    else:
-        new = np.concatenate([[True], np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1)])
-        starts = np.flatnonzero(new)
+    order, starts = group_rows(P.q_key_matrix, (znorm,) + tuple(P.z.T))
     bounds = np.append(starts, len(order))
     return order, bounds
 
@@ -306,15 +298,9 @@ class SampledFunction:
 
     def lookup(self, queries: np.ndarray) -> np.ndarray:
         """Values at query rows; unmatched points give 0."""
-        table = {
-            tuple(np.round(p / 1e-9).astype(np.int64).tolist()): v
-            for p, v in zip(self.points, self.values)
-        }
+        table = dict(zip(map(tuple, _quant_keys(self.points).tolist()), self.values))
         q = np.asarray(queries, dtype=float).reshape(-1, self.points.shape[1])
-        out = np.zeros(len(q), dtype=complex)
-        for i, row in enumerate(np.round(q / 1e-9).astype(np.int64)):
-            out[i] = table.get(tuple(row.tolist()), 0.0)
-        return out
+        return np.array([table.get(tuple(row), 0.0) for row in _quant_keys(q).tolist()], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -380,6 +366,26 @@ def twisted_periodization(
     return complex(split.D_xi_e * np.sum(vals[live] * phases))
 
 
+def _frequency_grid(K: float, h: float, dim: int = 1) -> np.ndarray:
+    """Rows of the grid h*Z^dim inside [-K, K]^dim, last coordinate fastest."""
+    k = int(math.floor(K / h + 1e-9))
+    axis = np.arange(-k, k + 1, dtype=float) * h
+    if len(axis) ** dim > 40_000_000:
+        raise ValueError("frequency grid too fine; increase h")
+    return np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+
+
+def _max_gap(picked: np.ndarray, grid: np.ndarray) -> float:
+    """Widest hole of the picked grid rows: the largest spacing in one
+    dimension, twice the covering radius of the grid otherwise."""
+    if len(picked) < 2:
+        return math.inf
+    if grid.shape[1] == 1:
+        return float(np.max(np.diff(np.sort(picked[:, 0]))))
+    dist, _ = cKDTree(picked).query(grid)
+    return 2.0 * float(dist.max())
+
+
 @dataclass(frozen=True)
 class EpsilonDualReport:
     thetas: np.ndarray
@@ -406,12 +412,7 @@ def epsilon_dual(Xi: PointPatch, eps: float, K: float, h: float) -> EpsilonDualR
         raise ValueError("epsilon_dual expects a flat patch")
     if Xi.n == 0:
         raise ValueError("empty patch")
-    m = Xi.dim_z
-    k = int(math.floor(K / h + 1e-9))
-    axis = np.arange(-k, k + 1, dtype=float) * h
-    if len(axis) ** m > 40_000_000:
-        raise ValueError("frequency grid too fine; increase h")
-    grid = np.stack(np.meshgrid(*([axis] * m), indexing="ij"), axis=-1).reshape(-1, m)
+    grid = _frequency_grid(K, h, Xi.dim_z)
     res = np.empty(len(grid))
     block = max(1, 20_000_000 // max(Xi.n, 1))
     for i0 in range(0, len(grid), block):
@@ -420,19 +421,10 @@ def epsilon_dual(Xi: PointPatch, eps: float, K: float, h: float) -> EpsilonDualR
     keep = res < eps
     thetas = grid[keep]
     residuals = res[keep]
-    if len(thetas) < 2:
-        gap = math.inf
-    elif m == 1:
-        gap = float(np.max(np.diff(np.sort(thetas[:, 0]))))
-    else:
-        from scipy.spatial import cKDTree
-
-        dist, _ = cKDTree(thetas).query(grid)
-        gap = 2.0 * float(dist.max())
     return EpsilonDualReport(
         thetas=thetas,
         residuals=residuals,
-        max_gap=gap,
+        max_gap=_max_gap(thetas, grid),
         eps=float(eps),
         K=float(K),
         h=float(h),

@@ -11,6 +11,7 @@ import pytest
 import quasilat as ql
 import quasilat.spectral as sp
 from quasilat.cli import load_patch, main, save_patch
+from quasilat.errors import QuasilatError
 
 
 def run(capsys, *argv):
@@ -265,3 +266,32 @@ def test_bad_thread_env_rejected(tmp_path):
         env=env, capture_output=True, text=True)
     assert r.returncode == 2
     assert "QUASILAT_THREADS" in r.stderr
+
+
+def _five_point_line(tmp_path, capsys):
+    p = tmp_path / "line.json"
+    assert main(["generate", "--scheme", "lattice", "--T", "2", "-o", str(p)]) == 0
+    capsys.readouterr()
+    doc = json.loads(p.read_text())
+    assert [pt["z"] for pt in doc["points"]] == [[-2.0], [-1.0], [0.0], [1.0], [2.0]]
+    return p, doc
+
+
+def test_loader_deduplicates_like_make_patch(tmp_path, capsys):
+    p, doc = _five_point_line(tmp_path, capsys)
+    doc["points"].insert(0, doc["points"][3])
+    p.write_text(json.dumps(doc))
+    P = load_patch(str(p))
+    assert P.n == 5
+    assert ql.min_gap(P) == 1.0
+    assert P.z[:, 0].tolist() == [-2.0, -1.0, 0.0, 1.0, 2.0]
+
+
+def test_loader_refuses_exact_float_disagreement(tmp_path, capsys):
+    p, doc = _five_point_line(tmp_path, capsys)
+    doc["points"][0]["exact"]["z"][0][0] = 99
+    p.write_text(json.dumps(doc))
+    with pytest.raises(QuasilatError, match="disagree"):
+        load_patch(str(p))
+    code, out, err = run(capsys, "check", "--in", str(p))
+    assert code == 1 and "disagree" in err

@@ -103,6 +103,15 @@ def test_symplectic_product_dimension_check(split):
         ql.symplectic_product(De, De, H, k=2)
 
 
+def test_symplectic_product_requires_symmetric_factors(split):
+    H, Xi, De, P = split
+    lopsided = Xi.take(np.flatnonzero(Xi.z[:, 0] < Xi.z[:, 0].max()))
+    with pytest.raises(ValueError, match="symmetric"):
+        ql.symplectic_product(lopsided, De, H, k=2)
+    with pytest.raises(ValueError, match="symmetric"):
+        ql.symplectic_product(Xi, De.take(np.flatnonzero(De.z[:, 0] != 0.0)), H, k=2)
+
+
 def test_project_drops_fiber_coordinates(split):
     H, Xi, De, P = split
     pr = ql.project(P)

@@ -98,6 +98,31 @@ def test_mixed_h3_matches_group_operation_loop(h3_eta):
     assert set(brute.values()) == {117}
 
 
+def test_mixed_silver_product_matches_exact_group_law():
+    # Columns (1 + sqrt2, 1) and (1, 1 + sqrt2) are within the range of each
+    # other, so the cocycle products carry d*qb*qb and qa*qb + qb*qa terms.
+    H = ql.heisenberg_group()
+    D1 = ql.model_set_1d(1, 4.8)
+    P = ql.symplectic_product(ql.model_set_1d(1, 18.0), ql.cartesian_flat(D1, D1), H, k=3)
+    T, range_ = 2.7, 2.1
+    eta = df.autocorrelation(P, T, range_)
+    brute = Counter()
+    for i in range(P.n):
+        x = P.element(i)
+        if H.gauge(x) > T + 1e-12:
+            continue
+        x_inv = H.inv(x)
+        # the float box only prunes; membership is decided on the exact product
+        for j in np.flatnonzero(np.abs(P.q - P.q[i]).max(axis=1) <= range_ + 1e-6):
+            d = H.mul(x_inv, P.element(int(j)))
+            if H.gauge(d) <= range_ + 1e-12:
+                brute[tuple(v for c in d.z_exact + d.q_exact for v in (c.a, c.b))] += 1
+    keys = [tuple(row) for row in eta.exact.key_matrix().tolist()]
+    assert len(keys) == len(set(keys)) and set(keys) == set(brute)
+    assert [brute[k] / eta.normalization for k in keys] == eta.weights.tolist()
+    assert any(k[1] for k in keys) and any(k[3] or k[5] for k in keys)
+
+
 def test_mixed_weights_symmetric_under_inversion(h3_eta):
     H, P, eta = h3_eta
     for z, q, w in zip(eta.z, eta.q, eta.weights):

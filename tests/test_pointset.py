@@ -1,15 +1,21 @@
 """Patch container semantics and set operations against brute force."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import quasilat as ql
 from quasilat.errors import (
     BoundaryUnsoundError,
+    CoefficientOverflowError,
     InsufficientWindowError,
 )
+from quasilat.pointset import group_rows
 
 S2 = math.sqrt(2.0)
 
@@ -35,6 +41,21 @@ def test_make_patch_canonical_order_and_dedup(rng):
                             window_z=5.0, window_q=5.0, core_z=5.0, core_q=5.0,
                             provenance="c")
     assert doubled.n == p1.n
+
+
+def test_make_patch_keeps_lowest_float_of_an_exact_key():
+    # Float sums of exact points can land an ulp apart from each other; the
+    # survivor is the lowest float, whatever the input order.
+    base = 3 + 2 * S2
+    floats = np.array([np.nextafter(base, 9.0), base, np.nextafter(base, 0.0)])
+    one = np.ones((3, 1), dtype=np.int64)
+    empty = np.zeros((3, 0), dtype=np.int64)
+    for perm in ([0, 1, 2], [2, 1, 0], [1, 2, 0]):
+        exact = ql.ExactCoords(za=3 * one, zb=2 * one, qa=empty, qb=empty)
+        P = ql.make_patch(group=ql.abelian_group(1, 0), z=floats[perm].reshape(3, 1),
+                          q=np.zeros((3, 0)), window_z=6.0, window_q=0.0,
+                          core_z=6.0, core_q=0.0, exact=exact)
+        assert P.n == 1 and P.z[0, 0] == floats.min()
 
 
 def test_patch_validation():
@@ -260,3 +281,50 @@ def test_element_accessor():
     assert len(list(P)) == P.n
     mask = P.core_mask()
     assert mask.all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hnp.arrays(
+        np.int64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=30),
+        elements=st.one_of(st.integers(-3, 3), st.integers(-(2 ** 63), 2 ** 63 - 1)),
+    )
+)
+def test_group_rows_matches_counter(keys):
+    tiebreak = -np.arange(len(keys), dtype=float)
+    order, starts = group_rows(keys, (tiebreak,))
+    assert sorted(order.tolist()) == list(range(len(keys)))
+    runs = np.split(order, starts[1:]) if len(starts) else []
+    heads = [tuple(keys[run[0]].tolist()) for run in runs]
+    got = Counter({head: len(run) for head, run in zip(heads, runs)})
+    assert got == Counter(tuple(row) for row in keys.tolist())
+    assert heads == sorted(heads)  # runs ascend with column 0 primary
+    for run in runs:
+        assert (keys[run] == keys[run[0]]).all()
+        assert (np.diff(run) < 0).all()  # ties follow the tiebreak column
+
+
+@pytest.mark.parametrize("d", [2, 3, 7])
+def test_minkowski_refuses_cocycle_overflow(d):
+    # beta_a = (1 + d) * 2**61 here: 2**63 wraps negative for d = 3, 2**64
+    # wraps to zero for d = 7, so the bound must hold before multiplying.
+    H = ql.heisenberg_group()
+    big = 2 ** 30
+
+    def one_point(qa, qb):
+        zero = np.zeros((1, 1), dtype=np.int64)
+        exact = ql.ExactCoords(za=zero, zb=zero, qa=np.array([qa]), qb=np.array([qb]), d=d)
+        return ql.patch_from_exact(H, exact, window_z=0.0, window_q=4.0 * big,
+                                   core_z=0.0, core_q=0.0)
+
+    p1 = one_point((big, -big), (big, big))
+    p2 = one_point((big, big), (-big, big))
+    with pytest.raises(CoefficientOverflowError):
+        ql.minkowski(p1, p2)
+
+
+def test_exact_max_abs_counts_the_most_negative_int64():
+    low = np.array([[-(2 ** 63)]], dtype=np.int64)
+    empty = np.zeros((1, 0), dtype=np.int64)
+    assert ql.ExactCoords(za=low, zb=low + 1, qa=empty, qb=empty).max_abs() == 2 ** 63
