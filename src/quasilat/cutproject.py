@@ -9,7 +9,6 @@ by how densely they fill the trusted z-core.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -25,7 +24,9 @@ from .group import CentralExtensionGroup, Cocycle, abelian_group
 from .pointset import (
     ExactCoords,
     PointPatch,
+    _grid_rows,
     _is_symmetric_with_identity,
+    covering_radius,
     group_rows,
     make_patch,
     min_gap,
@@ -145,7 +146,7 @@ def generate_model_set(scheme: CutProjectScheme, T: float) -> PointPatch:
             f"coefficient box holds {total} candidates; shrink T or the window"
         )
     axes = [np.arange(c_lo[j], c_hi[j] + 1) for j in range(n)]
-    coeffs = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    coeffs = _grid_rows(axes)
     x = coeffs @ basis.T
     mask = np.all(x >= lo[None, :], axis=1) & np.all(x <= hi[None, :], axis=1)
     phys = x[mask][:, :p]
@@ -228,7 +229,7 @@ def check_symplectic_condition(
     if Delta.n ** 3 > 50_000_000:
         raise ValueError("Delta too large for the exhaustive condition check")
     # Pairwise beta values; triples follow from bilinearity.
-    B = cocycle.beta_pairs(Delta.z, Delta.z)  # Delta is flat: its z block is q
+    B = cocycle.beta(Delta.z[:, None, :], Delta.z[None, :, :])  # Delta is flat: its z block is q
     n = Delta.n
     dz = cocycle.dim_z
     triple = (B[:, None, :, :] + B[None, :, :, :]).reshape(n * n * n, dz)
@@ -350,21 +351,6 @@ def fiber(P: PointPatch, delta: Sequence[float], tol: float = MATCH_TOL) -> np.n
     return P.z[mask]
 
 
-def _grid_covering(points: np.ndarray, radius: float, h: float) -> float:
-    """sup over the box [-radius, radius]^dim of the distance to the point
-    set, estimated on a grid of spacing h and padded by the grid slack."""
-    dim = points.shape[1]
-    if len(points) == 0:
-        return math.inf
-    k = int(math.floor(radius / h + 1e-9))
-    axis = np.arange(-k, k + 1, dtype=float) * h
-    if (len(axis)) ** dim > 5_000_000:
-        raise ValueError("probe grid too fine; increase h")
-    grid = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
-    dist, _ = cKDTree(points).query(grid)
-    return float(dist.max()) + h * math.sqrt(dim) / 2.0
-
-
 @dataclass(frozen=True)
 class FiberReport:
     delta: tuple[float, ...]
@@ -382,6 +368,13 @@ class AlignmentReport:
     R_threshold: float
     z_radius: float
     h: float
+
+
+def _core_fibers(P: PointPatch) -> tuple[np.ndarray, np.ndarray]:
+    """Rows over the q-core, ordered into fibers by q key: (order, starts)."""
+    idx = np.flatnonzero(np.all(np.abs(P.q) <= P.core_q + 1e-12, axis=1))
+    order, starts = group_rows(P.q_key_matrix[idx])
+    return idx[order], starts
 
 
 def alignment_report(
@@ -405,20 +398,20 @@ def alignment_report(
         )
     proj = project(P)
     gap = min_gap(proj)
-    qkeys = P.q_key_matrix
-    in_qcore = np.all(np.abs(P.q) <= P.core_q + 1e-12, axis=1)
-    idx = np.flatnonzero(in_qcore)
-    if len(idx) == 0:
+    order, starts = _core_fibers(P)
+    if len(order) == 0:
         raise InsufficientWindowError("no points over the q-core")
-    order, starts = group_rows(qkeys[idx])
-    order = idx[order]
     bounds = np.append(starts, len(order))
+    flat = abelian_group(P.dim_z, 0)
     reports: list[FiberReport] = []
     for s, e in zip(bounds[:-1], bounds[1:]):
         rows = order[s:e]
         delta = tuple(float(v) for v in P.q[rows[0]])
-        zs = P.z[rows]
-        est = _grid_covering(zs, z_radius, h)
+        fiber_patch = PointPatch(
+            group=flat, z=P.z[rows], q=np.zeros((len(rows), 0)),
+            window_z=P.window_z, window_q=0.0, core_z=z_radius, core_q=0.0,
+        )
+        est = covering_radius(fiber_patch, h=h).estimate
         reports.append(
             FiberReport(
                 delta=delta,
@@ -455,18 +448,15 @@ def enforce_uniform_fibers(P: PointPatch, R: float, h: float = 0.01) -> PointPat
         core_q=min(P.core_q, square.window_q),
     )
     rep = alignment_report(square, R, h=h)
-    kept = {r.delta: r.essential for r in rep.fibers}
-    keep_mask = np.zeros(square.n, dtype=bool)
-    in_qcore = np.all(np.abs(square.q) <= square.core_q + 1e-12, axis=1)
-    for i in np.flatnonzero(in_qcore):
-        if kept.get(tuple(float(v) for v in square.q[i]), False):
-            keep_mask[i] = True
-    if not np.any(keep_mask):
+    order, starts = _core_fibers(square)
+    sizes = np.diff(np.append(starts, len(order)))
+    keep = np.sort(order[np.repeat([r.essential for r in rep.fibers], sizes)])
+    if len(keep) == 0:
         raise ThresholdTooSmallError(
             f"no fiber of the square is {R:.6g}-relatively dense on the core"
         )
     out = square.take(
-        np.flatnonzero(keep_mask),
+        keep,
         window_z=square.window_z,
         window_q=square.core_q,
         core_z=square.core_z,

@@ -441,7 +441,8 @@ def projection_consistency(
         np.sum(psi_values * np.exp(2j * math.pi * xi.theta[0] * psi_grid)) * spacing
     )
     if P.dim_q:
-        phi_sum = complex(np.sum(phi.lookup(np.unique(P.q, axis=0))))
+        order, starts = group_rows(P.q_key_matrix)
+        phi_sum = complex(np.sum(phi.lookup(P.q[order[starts]])))
     else:
         phi_sum = 1.0 + 0.0j
     rhs = dens.value * f_xi * phi_sum

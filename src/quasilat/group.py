@@ -87,12 +87,14 @@ class Cocycle:
         return float(np.abs(self._stack).sum(axis=(1, 2)).max()) * w1 * w2
 
     def beta(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """beta of two single vectors, returned as a dim_z vector."""
+        """beta of (..., dim_q) arrays as a (..., dim_z) array, broadcasting
+        over the leading axes: one pair, rows against rows, or all pairs
+        via v[:, None] and w[None]."""
+        v = np.asarray(v, dtype=float)
+        w = np.asarray(w, dtype=float)
         if self.dim_z == 0 or self.dim_q == 0:
-            return np.zeros(self.dim_z)
-        v = np.asarray(v, dtype=float).reshape(self.dim_q)
-        w = np.asarray(w, dtype=float).reshape(self.dim_q)
-        return np.einsum("kij,i,j->k", self._stack, v, w)
+            return np.zeros(np.broadcast_shapes(v.shape[:-1], w.shape[:-1]) + (self.dim_z,))
+        return np.einsum("kij,...i,...j->...k", self._stack, v, w)
 
     def beta_exact(
         self, va: np.ndarray, vb: np.ndarray, wa: np.ndarray, wb: np.ndarray, d: int
@@ -112,19 +114,6 @@ class Cocycle:
 
         # (a1 + b1 rt)(a2 + b2 rt) = (a1 a2 + d b1 b2) + (a1 b2 + b1 a2) rt
         return form(va, wa) + d * form(vb, wb), form(va, wb) + form(vb, wa)
-
-    def beta_rows(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Row-wise beta for (n, dim_q) arrays, returning (n, dim_z)."""
-        n = len(v)
-        if self.dim_z == 0 or self.dim_q == 0:
-            return np.zeros((n, self.dim_z))
-        return np.einsum("kij,ni,nj->nk", self._stack, v, w)
-
-    def beta_pairs(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """All-pairs beta for (n, dim_q) x (m, dim_q), returning (n, m, dim_z)."""
-        if self.dim_z == 0 or self.dim_q == 0:
-            return np.zeros((len(v), len(w), self.dim_z))
-        return np.einsum("kij,ni,mj->nmk", self._stack, v, w)
 
 
 def abelian_cocycle(dim_z: int, dim_q: int = 0) -> Cocycle:
@@ -227,7 +216,7 @@ class CentralExtensionGroup:
     def mul(self, g: GroupElement, h: GroupElement) -> GroupElement:
         self._check(g)
         self._check(h)
-        bz = self.cocycle.beta(np.array(g.q), np.array(h.q)) if self.dim_q else np.zeros(self.dim_z)
+        bz = self.cocycle.beta(g.q, h.q)
         z = tuple(g.z[k] + h.z[k] + bz[k] for k in range(self.dim_z))
         q = tuple(g.q[i] + h.q[i] for i in range(self.dim_q))
         z_exact = q_exact = None
@@ -289,15 +278,16 @@ class CentralExtensionGroup:
     # Array variants used by the patch machinery; rows are elements.
 
     def mul_rows(self, z1: np.ndarray, q1: np.ndarray, z2: np.ndarray, q2: np.ndarray):
-        z = z1 + z2 + self.cocycle.beta_rows(q1, q2)
+        z = z1 + z2 + self.cocycle.beta(q1, q2)
         return z, q1 + q2
 
     def gauge_rows(self, z: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """Gauge of each row of (n, dim_z), (n, dim_q) coordinate arrays."""
-        zn = np.sqrt(np.sum(z * z, axis=1))
+        """Gauge of the elements of (..., dim_z), (..., dim_q) coordinate
+        arrays, coordinates along the last axis."""
+        zn = np.sqrt(np.sum(z * z, axis=-1))
         if self.dim_q == 0:
             return zn
-        qn = np.sqrt(np.sum(q * q, axis=1))
+        qn = np.sqrt(np.sum(q * q, axis=-1))
         if self.dim_z == 0:
             return qn
         return np.maximum(qn, np.sqrt(zn))

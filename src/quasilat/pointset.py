@@ -338,19 +338,12 @@ def integer_lattice_patch(
     provenance: str = "",
 ) -> PointPatch:
     """All integer points of the window boxes, with exact coordinates."""
-    wz = int(math.floor(window_z + 1e-9))
-    wq = int(math.floor(window_q + 1e-9))
-    axes = [np.arange(-wz, wz + 1, dtype=np.int64)] * group.dim_z
-    axes += [np.arange(-wq, wq + 1, dtype=np.int64)] * group.dim_q
+    axes = [_axis_grid(window_z, 1.0)] * group.dim_z + [_axis_grid(window_q, 1.0)] * group.dim_q
     if not axes:
         raise ValueError("group has no coordinates")
-    count = 1
-    for a in axes:
-        count *= len(a)
-    if count > 50_000_000:
+    if int(np.prod([len(a) for a in axes])) > 50_000_000:
         raise ValueError("lattice window too large")
-    mesh = np.meshgrid(*axes, indexing="ij")
-    cols = np.stack([m.ravel() for m in mesh], axis=1)
+    cols = _grid_rows(axes).astype(np.int64)
     zc = cols[:, : group.dim_z]
     qc = cols[:, group.dim_z :]
     exact = ExactCoords.from_int_rows(zc, qc)
@@ -413,7 +406,7 @@ def minkowski(p1: PointPatch, p2: PointPatch) -> PointPatch:
     q = (p1.q[:, None, :] + p2.q[None, :, :]).reshape(n * m, g.dim_q)
     z = (p1.z[:, None, :] + p2.z[None, :, :]).reshape(n * m, g.dim_z)
     if g.dim_q and g.dim_z:
-        z = z + g.cocycle.beta_pairs(p1.q, p2.q).reshape(n * m, g.dim_z)
+        z = z + g.cocycle.beta(p1.q[:, None, :], p2.q[None, :, :]).reshape(n * m, g.dim_z)
     exact = _exact_pair_product(p1, p2)
     drift = g.cocycle.box_drift(p1.window_q, p2.window_q)
     return make_patch(
@@ -459,7 +452,7 @@ def translate(p: PointPatch, g_elt: GroupElement) -> PointPatch:
     q = p.q + gq[None, :]
     z = p.z + gz[None, :]
     if g.dim_q and g.dim_z:
-        z = z + np.einsum("kij,i,nj->nk", g.cocycle.stack, gq, p.q)
+        z = z + g.cocycle.beta(gq, p.q)
     exact = None
     if (
         p.exact is not None
@@ -519,21 +512,7 @@ def min_gap(p: PointPatch) -> float:
         raise InsufficientWindowError(
             "min_gap on mixed patches is quadratic; restrict below 20000 points"
         )
-    best = math.inf
-    block = max(1, 2_000_000 // max(p.n, 1))
-    for i0 in range(0, p.n, block):
-        i1 = min(i0 + block, p.n)
-        dq = p.q[None, :, :] - p.q[i0:i1, None, :]
-        dz = p.z[None, :, :] - p.z[i0:i1, None, :]
-        if np.any(g.cocycle.stack != 0.0):
-            dz = dz - np.einsum("kij,ni,nmj->nmk", g.cocycle.stack, p.q[i0:i1], dq)
-        gq = np.sqrt(np.sum(dq * dq, axis=2))
-        gz = np.sqrt(np.sum(dz * dz, axis=2))
-        dist = np.maximum(gq, np.sqrt(gz))
-        rows = np.arange(i0, i1) - i0
-        dist[rows, np.arange(i0, i1)] = math.inf
-        best = min(best, float(dist.min()))
-    return best
+    return float(_nearest_in_patch(p, p.z, p.q, exclude_self=True)[1].min())
 
 
 @dataclass(frozen=True)
@@ -550,10 +529,14 @@ class CoveringReport:
 
 
 def _axis_grid(radius: float, step: float) -> np.ndarray:
-    if radius <= 0:
-        return np.zeros(1)
+    """The multiples of step in [-radius, radius]."""
     k = int(math.floor(radius / step + 1e-9))
     return np.arange(-k, k + 1, dtype=float) * step
+
+
+def _grid_rows(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Rows of the product grid of the axes, last axis fastest."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 def covering_radius(
@@ -573,58 +556,32 @@ def covering_radius(
         raise InsufficientWindowError("empty patch has no covering radius")
     z_radius = p.core_z if z_radius is None else float(z_radius)
     q_radius = p.core_q if q_radius is None else float(q_radius)
+    if min(z_radius, q_radius) < 0:
+        raise ValueError("probe radii must be non-negative")
     if z_radius > p.core_z + 1e-12 or q_radius > p.core_q + 1e-12:
         raise BoundaryUnsoundError(
             f"probe box ({z_radius:.6g}, {q_radius:.6g}) exceeds the trusted core "
             f"({p.core_z:.6g}, {p.core_q:.6g})"
         )
-    if g.dim_q == 0 or g.dim_z == 0:
-        dim = g.dim_z or g.dim_q
-        pts = p.z if g.dim_q == 0 else p.q
-        radius = z_radius if g.dim_q == 0 else q_radius
-        axes = [_axis_grid(radius, h)] * dim
-        n_probes = int(np.prod([len(a) for a in axes]))
-        if n_probes > 5_000_000:
-            raise ValueError("probe grid too fine; increase h")
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-        dist, _ = cKDTree(pts).query(grid)
-        grid_max = float(dist.max())
-        slack = h * math.sqrt(dim) / 2.0
-        return CoveringReport(
-            estimate=grid_max + slack,
-            grid_max=grid_max,
-            slack=slack,
-            h=h,
-            z_radius=z_radius,
-            q_radius=q_radius,
-            n_probes=n_probes,
-        )
+    flat = g.dim_q == 0 or g.dim_z == 0
     # Mixed case: z probes step h^2 so the gauge offset stays O(h).
-    hz = h * h
-    z_axes = [_axis_grid(z_radius, hz)] * g.dim_z
-    q_axes = [_axis_grid(q_radius, h)] * g.dim_q
-    n_probes = int(np.prod([len(a) for a in z_axes + q_axes]))
-    if n_probes * p.n > 200_000_000:
+    hz = h if flat else h * h
+    axes = [_axis_grid(z_radius, hz)] * g.dim_z + [_axis_grid(q_radius, h)] * g.dim_q
+    n_probes = int(np.prod([len(a) for a in axes]))
+    if flat and n_probes > 5_000_000:
+        raise ValueError("probe grid too fine; increase h")
+    if not flat and n_probes * p.n > 200_000_000:
         raise ValueError("mixed probe grid too fine for this patch; increase h")
-    zq = np.stack(np.meshgrid(*(z_axes + q_axes), indexing="ij"), axis=-1).reshape(n_probes, -1)
-    probe_z, probe_q = zq[:, : g.dim_z], zq[:, g.dim_z :]
-    grid_max = 0.0
-    block = max(1, 50_000_000 // max(p.n, 1))
-    for i0 in range(0, n_probes, block):
-        pz = probe_z[i0 : i0 + block]
-        pq = probe_q[i0 : i0 + block]
-        dq = pq[:, None, :] - p.q[None, :, :]
-        dz = pz[:, None, :] - p.z[None, :, :] - np.einsum(
-            "kij,mi,bmj->bmk", g.cocycle.stack, p.q, dq
-        )
-        gq = np.sqrt(np.sum(dq * dq, axis=2))
-        gz = np.sqrt(np.sum(dz * dz, axis=2))
-        dist = np.maximum(gq, np.sqrt(gz)).min(axis=1)
-        grid_max = max(grid_max, float(dist.max()))
-    # Probe offsets: q moves h*sqrt(dq)/2, z moves hz*sqrt(dz)/2 plus the
-    # commutator drift from recentering at a probe with |q| <= q_radius.
-    dz_off = hz * math.sqrt(g.dim_z) / 2.0 + g.cocycle.box_drift(q_radius, h * math.sqrt(g.dim_q) / 2.0)
-    slack = max(h * math.sqrt(g.dim_q) / 2.0, math.sqrt(dz_off))
+    probes = _grid_rows(axes)
+    grid_max = float(_nearest_in_patch(p, probes[:, : g.dim_z], probes[:, g.dim_z :])[1].max())
+    if flat:
+        slack = h * math.sqrt(g.dim_z or g.dim_q) / 2.0
+    else:
+        # Probe offsets: q moves h*sqrt(dq)/2, z moves hz*sqrt(dz)/2 plus the
+        # commutator drift from recentering at a probe with |q| <= q_radius.
+        dz_off = hz * math.sqrt(g.dim_z) / 2.0
+        dz_off += g.cocycle.box_drift(q_radius, h * math.sqrt(g.dim_q) / 2.0)
+        slack = max(h * math.sqrt(g.dim_q) / 2.0, math.sqrt(dz_off))
     return CoveringReport(
         estimate=grid_max + slack,
         grid_max=grid_max,
@@ -701,32 +658,31 @@ class CoverReport:
     n_covered: int
 
 
-def _nearest_in_patch(p: PointPatch, z: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index of the patch point nearest to each query row in the
-    left-invariant metric, plus the distances."""
+def _nearest_in_patch(
+    p: PointPatch, z: np.ndarray, q: np.ndarray, exclude_self: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the patch point x nearest to each query row y in the
+    left-invariant distance gauge(x^-1 y), plus the distances.  With
+    exclude_self the queries are the patch rows and row i skips point i."""
     g = p.group
-    if g.dim_q == 0:
-        dist, idx = cKDTree(p.z).query(z)
-        return np.atleast_1d(idx), np.atleast_1d(dist)
-    if g.dim_z == 0:
-        dist, idx = cKDTree(p.q).query(q)
+    if not exclude_self and (g.dim_q == 0 or g.dim_z == 0):
+        # One block only: the gauge is its Euclidean norm.
+        pts, rows = (p.z, z) if g.dim_q == 0 else (p.q, q)
+        dist, idx = cKDTree(pts).query(rows)
         return np.atleast_1d(idx), np.atleast_1d(dist)
     m = len(z)
-    if m * p.n > 200_000_000:
-        raise InsufficientWindowError("nearest-point search too large; restrict the patch")
     idx = np.empty(m, dtype=np.int64)
     dist = np.empty(m)
-    block = max(1, 50_000_000 // max(p.n, 1))
+    block = max(1, 2_000_000 // max(p.n, 1))
     for i0 in range(0, m, block):
-        dq = q[i0 : i0 + block, None, :] - p.q[None, :, :]
-        dz = z[i0 : i0 + block, None, :] - p.z[None, :, :] - np.einsum(
-            "kij,mi,bmj->bmk", g.cocycle.stack, p.q, dq
-        )
-        gq = np.sqrt(np.sum(dq * dq, axis=2))
-        gz = np.sqrt(np.sum(dz * dz, axis=2))
-        d = np.maximum(gq, np.sqrt(gz))
-        idx[i0 : i0 + block] = np.argmin(d, axis=1)
-        dist[i0 : i0 + block] = d[np.arange(len(d)), idx[i0 : i0 + block]]
+        i1 = min(i0 + block, m)
+        rows = np.arange(i1 - i0)
+        dq = q[i0:i1, None, :] - p.q[None, :, :]
+        d = g.gauge_rows(z[i0:i1, None, :] - p.z[None, :, :] - g.cocycle.beta(p.q, dq), dq)
+        if exclude_self:
+            d[rows, rows + i0] = math.inf
+        idx[i0:i1] = np.argmin(d, axis=1)
+        dist[i0:i1] = d[rows, idx[i0:i1]]
     return idx, dist
 
 
@@ -744,46 +700,36 @@ def approximate_group_cover(p: PointPatch, cluster_radius: float = 1e-6) -> Cove
     prod = minkowski(p, p).restrict(z_box=p.core_z, q_box=p.core_q)
     if prod.n == 0:
         raise InsufficientWindowError("no product points on the core")
+    if g.dim_q and g.dim_z and prod.n * p.n > 200_000_000:
+        raise InsufficientWindowError("nearest-point search too large; restrict the patch")
     idx, dist = _nearest_in_patch(p, prod.z, prod.q)
     max_window_gauge = max(p.window_q, math.sqrt(p.window_z * max(p.dim_z, 1)))
     if float(dist.max()) > 2.0 * max_window_gauge:
         raise InsufficientWindowError("a product point is farther than the patch window")
     # Quotients r = x^-1 y, one per product point.
     rq = prod.q - p.q[idx]
-    rz = prod.z - p.z[idx]
-    if g.dim_q and g.dim_z:
-        rz = rz - np.einsum("kij,ni,nj->nk", g.cocycle.stack, p.q[idx], rq)
+    rz = prod.z - p.z[idx] - g.cocycle.beta(p.q[idx], rq)
     order = np.lexsort(
         tuple(rz[:, k] for k in range(g.dim_z - 1, -1, -1))
         + tuple(rq[:, k] for k in range(g.dim_q - 1, -1, -1))
     )
-    reps_z: list[np.ndarray] = []
-    reps_q: list[np.ndarray] = []
+    reps: list[int] = []
     max_residual = 0.0
     for i in order:
-        best = math.inf
-        for fz, fq in zip(reps_z, reps_q):
-            dq = rq[i] - fq
-            dz = rz[i] - fz
-            if g.dim_q and g.dim_z:
-                dz = dz - g.cocycle.beta(fq, dq)
-            qn = math.sqrt(float(np.dot(dq, dq)))
-            zn = math.sqrt(float(np.dot(dz, dz)))
-            d = max(qn, math.sqrt(zn)) if (g.dim_q and g.dim_z) else (zn if g.dim_q == 0 else qn)
-            best = min(best, d)
+        dq = rq[i] - rq[reps]
+        dz = rz[i] - rz[reps] - g.cocycle.beta(rq[reps], dq)
+        best = float(g.gauge_rows(dz, dq).min(initial=math.inf))
         if best > cluster_radius:
-            reps_z.append(rz[i].copy())
-            reps_q.append(rq[i].copy())
+            reps.append(i)
         else:
             max_residual = max(max_residual, best)
-    wz = float(max(np.max(np.abs(np.array(reps_z))), 0.0)) if reps_z and g.dim_z else 0.0
-    wq = float(max(np.max(np.abs(np.array(reps_q))), 0.0)) if reps_q and g.dim_q else 0.0
+    fz, fq = rz[reps], rq[reps]
     translators = make_patch(
         group=g,
-        z=_as_block(np.array(reps_z, dtype=float), g.dim_z),
-        q=_as_block(np.array(reps_q, dtype=float), g.dim_q),
-        window_z=wz,
-        window_q=wq,
+        z=fz,
+        q=fq,
+        window_z=float(np.abs(fz).max()) if fz.size else 0.0,
+        window_q=float(np.abs(fq).max()) if fq.size else 0.0,
         core_z=0.0,
         core_q=0.0,
         provenance=f"cover({_short(p.provenance)})",

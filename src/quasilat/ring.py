@@ -175,20 +175,9 @@ def model_set_1d(R: RationalLike, T: RationalLike) -> "PointPatch":
     The enumeration is complete on [-T, T], so the returned patch is
     trusted on its whole window (core == window).
     """
-    from .group import abelian_group
-    from .pointset import ExactCoords, patch_from_exact
+    from .cutproject import generate_model_set, silver_scheme
 
-    pts = silver_points(-Fraction(R), Fraction(R), T)
-    exact = ExactCoords.from_quadints_z(pts)
-    return patch_from_exact(
-        group=abelian_group(dim_z=1, dim_q=0),
-        exact=exact,
-        window_z=float(Fraction(T)),
-        window_q=0.0,
-        core_z=float(Fraction(T)),
-        core_q=0.0,
-        provenance=f"model_set_1d(R={float(Fraction(R)):.12g},T={float(Fraction(T)):.12g})",
-    )
+    return generate_model_set(silver_scheme(-R, R), T)
 
 
 def embed_many(points: Iterable[QuadInt]) -> list[float]:

@@ -24,7 +24,7 @@ from .cutproject import fiber as extract_fiber
 from .cutproject import project
 from .errors import InsufficientWindowError
 from .group import Cocycle, GroupElement, ball_volume
-from .pointset import PointPatch, _quant_keys, group_rows, translate
+from .pointset import PointPatch, _axis_grid, _grid_rows, _quant_keys, group_rows, translate
 
 CONVERGENCE_ABS = 1e-3
 CONVERGENCE_REL = 0.05
@@ -361,18 +361,17 @@ def twisted_periodization(
     live = np.flatnonzero(vals != 0)
     if len(live) == 0:
         return 0.0 + 0.0j
-    beta = np.einsum("kij,i,nj->nk", split.cocycle.stack, q, deltas[live]) if q.size else np.zeros((len(live), len(z)))
+    beta = split.cocycle.beta(q, deltas[live])
     phases = np.exp(-2j * math.pi * ((z[None, :] + beta) @ np.asarray(xi.theta)))
     return complex(split.D_xi_e * np.sum(vals[live] * phases))
 
 
 def _frequency_grid(K: float, h: float, dim: int = 1) -> np.ndarray:
     """Rows of the grid h*Z^dim inside [-K, K]^dim, last coordinate fastest."""
-    k = int(math.floor(K / h + 1e-9))
-    axis = np.arange(-k, k + 1, dtype=float) * h
+    axis = _axis_grid(K, h)
     if len(axis) ** dim > 40_000_000:
         raise ValueError("frequency grid too fine; increase h")
-    return np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+    return _grid_rows([axis] * dim)
 
 
 def _max_gap(picked: np.ndarray, grid: np.ndarray) -> float:

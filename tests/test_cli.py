@@ -295,3 +295,28 @@ def test_loader_refuses_exact_float_disagreement(tmp_path, capsys):
         load_patch(str(p))
     code, out, err = run(capsys, "check", "--in", str(p))
     assert code == 1 and "disagree" in err
+
+
+def test_readme_examples_print_what_the_readme_shows(tmp_path, capsys):
+    def lines(*argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        return out.splitlines()
+
+    silver, h3 = str(tmp_path / "silver.json"), str(tmp_path / "h3.json")
+    lines("generate", "--scheme", "silver", "--R", "1", "--T", "10", "-o", silver)
+    lines("generate", "--scheme", "heisenberg", "--T", "10", "--T-q", "2", "-o", h3)
+    assert lines("check", "--in", silver, "--k-max", "2") == [
+        "k=1 min_gap=0.414213562373",
+        "k=2 min_gap=0.171572875254",
+        "passed=true threshold=0.1",
+    ]
+    fibers = lines("fibers", "--in", h3, "--R", "1.5", "-o", str(tmp_path / "fibers.csv"))
+    assert fibers == ["fibers=25 essential_fraction=1", "uniformly_large=true"]
+    assert lines("density", "--in", silver, "--theta", "0", "--T", "8") == [
+        "D_re=0.6875 D_im=0",
+        "abs2=0.47265625 T=8 cauchy_tail=0.20625 converged=false",
+    ]
+    bragg = lines("bragg", "--in", silver, "--eps", "0.5", "--K", "3", "--h", "0.01",
+                  "--T", "9", "-o", str(tmp_path / "bragg.csv"))
+    assert bragg == ["c_1=0.521604938272 peaks=37 max_gap=0.82"]

@@ -188,3 +188,23 @@ def test_cartesian_flat_concatenates_exactly():
         for (za1, za2), (zb1, zb2) in zip(c.exact.za.tolist(), c.exact.zb.tolist())
     }
     assert got == want
+
+
+def test_enforce_uniform_fibers_keeps_float_key_fibers_whole():
+    H = ql.heisenberg_group()
+    q_axis = 0.1 * np.arange(-3, 4)
+    zs, q0, q1 = np.meshgrid(np.arange(-8, 9), q_axis, q_axis, indexing="ij")
+    P = ql.make_patch(group=H, z=zs.reshape(-1, 1).astype(float),
+                      q=np.stack([q0.ravel(), q1.ravel()], axis=1),
+                      window_z=8.0, window_q=0.3, core_z=8.0, core_q=0.3)
+    assert P.exact is None
+    square = ql.minkowski(P, P).restrict(z_box=P.window_z, q_box=P.window_q)
+    square = square.take(np.arange(square.n), core_z=min(P.core_z, square.window_z),
+                         core_q=min(P.core_q, square.window_q))
+    rep = ql.alignment_report(square, 1.5, h=0.05)
+    assert len(rep.fibers) == 49 and rep.uniformly_large
+    over_core = int(np.count_nonzero(np.all(np.abs(square.q) <= square.core_q + 1e-12, axis=1)))
+    # every fiber is essential, so every point over the q-core survives;
+    # the q floats of one fiber differ in the last bit in most fibers
+    kept = ql.enforce_uniform_fibers(P, 1.5, h=0.05)
+    assert kept.n == over_core == sum(f.cardinality for f in rep.fibers)

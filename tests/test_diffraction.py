@@ -287,3 +287,22 @@ def test_weighted_measure_container(h3_eta):
             weights=np.ones(2), range_=1.0, normalization=1.0)
     assert eta.weight_at(eta.z[0] + 5e-10, eta.q[0]) == pytest.approx(eta.weights[0])
     assert eta.weight_at(eta.z[0] + 1e-6, eta.q[0]) == 0.0
+
+
+def test_projection_consistency_counts_each_float_fiber_once():
+    H = ql.heisenberg_group()
+
+    def patch(jitter):
+        # no exact coordinates: fibers are the quantized q keys, and the two
+        # points over (0.5, 0) differ in q by far less than QUANT
+        q = np.array([[0.5, 0.0], [0.5 + jitter, 0.0], [0.0, 0.0]])
+        return ql.make_patch(group=H, z=np.array([[0.0], [1.0], [0.0]]), q=q,
+                             window_z=1.0, window_q=1.0, core_z=1.0, core_q=1.0)
+
+    grid = np.linspace(-0.5, 0.5, 101)
+    psi = np.ones_like(grid)
+    phi = sp.SampledFunction.indicator([0.5, 0.0])
+    jittered = df.projection_consistency(patch(1e-12), grid, psi, phi, sp.character(0.0), 1.0, 0.01)
+    clean = df.projection_consistency(patch(0.0), grid, psi, phi, sp.character(0.0), 1.0, 0.01)
+    assert clean.rhs == pytest.approx(0.505)
+    assert jittered.rhs == clean.rhs

@@ -104,8 +104,8 @@ def test_cocycle_array_forms_match_scalar():
     rng = np.random.default_rng(5)
     U = rng.integers(-9, 10, size=(40, 2)).astype(float)
     V = rng.integers(-9, 10, size=(40, 2)).astype(float)
-    rows = beta.beta_rows(U, V)
-    pairs = beta.beta_pairs(U, V)
+    rows = beta.beta(U, V)
+    pairs = beta.beta(U[:, None, :], V[None, :, :])
     for i in range(40):
         want = beta.beta(U[i], V[i])
         assert rows[i, 0] == want[0]
@@ -117,7 +117,7 @@ def test_cocycle_drift_bounds_hold():
     rng = np.random.default_rng(6)
     U = rng.uniform(-3.0, 3.0, size=(200, 2))
     V = rng.uniform(-7.0, 7.0, size=(200, 2))
-    vals = np.abs(beta.beta_pairs(U, V)[:, :, 0])
+    vals = np.abs(beta.beta(U[:, None, :], V[None, :, :])[:, :, 0])
     assert vals.max() <= beta.box_drift(3.0, 7.0) + 1e-12
     norms = np.linalg.norm(U, axis=1)[:, None] * np.linalg.norm(V, axis=1)[None, :]
     assert np.all(vals <= beta.drift_bound * norms + 1e-12)

@@ -328,3 +328,60 @@ def test_exact_max_abs_counts_the_most_negative_int64():
     low = np.array([[-(2 ** 63)]], dtype=np.int64)
     empty = np.zeros((1, 0), dtype=np.int64)
     assert ql.ExactCoords(za=low, zb=low + 1, qa=empty, qb=empty).max_abs() == 2 ** 63
+
+
+def _h3_probe_grid(z_radius, q_radius, h):
+    """Probe rows of the mixed covering grid: z step h^2, q step h."""
+    def axis(r, s):
+        k = math.floor(r / s + 1e-9)
+        return np.arange(-k, k + 1) * s
+    q_axis = axis(q_radius, h)
+    zs, q0, q1 = np.meshgrid(axis(z_radius, h * h), q_axis, q_axis, indexing="ij")
+    return np.stack([zs.ravel(), q0.ravel(), q1.ravel()], axis=1)
+
+
+def _loop_distances(P, rows):
+    """gauge(x^-1 y) from every patch point x to every probe row y, by
+    the scalar group law."""
+    H = P.group
+    elts = list(P)
+    return np.array([[H.distance(x, H.element(r[:1], r[1:])) for x in elts] for r in rows])
+
+
+def test_covering_radius_mixed_matches_scalar_loop():
+    P = ql.integer_lattice_patch(ql.heisenberg_group(), window_z=2.0, window_q=1.0)
+    rep = ql.covering_radius(P, z_radius=0.5, q_radius=0.5, h=0.25)
+    probes = _h3_probe_grid(0.5, 0.5, 0.25)
+    assert rep.n_probes == len(probes) == 17 * 5 * 5
+    assert rep.grid_max == _loop_distances(P, probes).min(axis=1).max()
+    assert rep.estimate == rep.grid_max + rep.slack
+
+
+def test_nearest_in_patch_matches_scalar_loop():
+    from quasilat.pointset import _nearest_in_patch
+
+    P = ql.integer_lattice_patch(ql.heisenberg_group(), window_z=2.0, window_q=1.0)
+    probes = _h3_probe_grid(0.5, 0.5, 0.25)
+    loop = _loop_distances(P, probes)
+    idx, dist = _nearest_in_patch(P, probes[:, :1], probes[:, 1:])
+    assert np.array_equal(dist, loop.min(axis=1))
+    # ties between equally near points may pick either; the index must
+    # realize the distance
+    assert np.array_equal(loop[np.arange(len(probes)), idx], dist)
+
+
+def test_approximate_group_cover_heisenberg_lattice():
+    P = small_h3_patch(window_z=2.0, window_q=1.0)
+    rep = ql.approximate_group_cover(P)
+    # the integer Heisenberg lattice is a subgroup: P*P on the core is P
+    assert rep.size == 1
+    assert rep.max_residual == 0.0
+    assert rep.translators.z.tolist() == [[0.0]]
+    assert rep.translators.q.tolist() == [[0.0, 0.0]]
+    assert rep.n_covered == P.n
+
+
+def test_covering_radius_refuses_negative_radii():
+    P = ql.integer_lattice_patch(ql.heisenberg_group(), window_z=2.0, window_q=1.0)
+    with pytest.raises(ValueError, match="non-negative"):
+        ql.covering_radius(P, z_radius=-0.5, q_radius=0.5, h=0.25)
