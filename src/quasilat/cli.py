@@ -47,6 +47,7 @@ from .ring import QuadInt
 from .spectral import (
     Character,
     _frequency_grid,
+    _twisted_densities,
     default_schedule,
     palm_profile,
     set_threads,
@@ -384,9 +385,9 @@ def _cmd_spectrum(args, parser) -> int:
     fiber_rows = _identity_fiber(P)
     schedule = default_schedule(args.T)
     c_vals = palm_profile(P, grid, args.S, args.T)
+    ests = _twisted_densities(fiber_rows, grid, schedule, core=P.core_z)
     lines = ["theta,re_D,im_D,abs_D_sq,c_xi,T,cauchy_tail"]
-    for theta, c in zip(grid[:, 0], c_vals):
-        est = twisted_density(fiber_rows, Character((float(theta),)), schedule, core=P.core_z)
+    for theta, c, est in zip(grid[:, 0], c_vals, ests):
         lines.append(
             ",".join(
                 [

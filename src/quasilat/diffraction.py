@@ -25,7 +25,6 @@ from .spectral import (
     SampledFunction,
     _frequency_grid,
     _max_gap,
-    fiber_partition,
     palm_profile,
     twisted_density,
 )
@@ -76,59 +75,47 @@ def _expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Row indices (repeated) and flat column indices for slices
     [lo[i], hi[i]) of a sorted array."""
     counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     rows = np.repeat(np.arange(len(lo), dtype=np.int64), counts)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+    offsets = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
     cols = np.repeat(lo, counts) + offsets
     return rows, cols
 
 
-def _aggregate_keys(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum counts over equal key rows; returns (unique keys, summed counts)."""
-    if len(keys) == 0:
-        return keys, counts
-    order, starts = group_rows(keys)
-    return keys[order[starts]], np.add.reduceat(counts[order], starts)
-
-
-def _count_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return _aggregate_keys(keys, np.ones(len(keys), dtype=np.int64))
+def _aggregate_keys(
+    cols: Sequence[np.ndarray], counts: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum counts (one per row when omitted) over equal rows of the integer
+    key columns; returns (unique rows in lexicographic order, summed counts)."""
+    # initial=0 only widens a range, and lets empty columns through.
+    lo = [int(col.min(initial=0)) for col in cols]
+    spans = [int(col.max(initial=0)) - b + 1 for col, b in zip(cols, lo)]
+    if math.prod(spans) > 2**62:
+        keys = np.column_stack(cols)
+        order, starts = group_rows(keys)
+        counts = np.ones(len(keys), dtype=np.int64) if counts is None else counts
+        return keys[order[starts]], np.add.reduceat(counts[order], starts)
+    # Mixed-radix packing keeps the lexicographic order, and one int64
+    # column sorts many times faster than a lexsort of all of them.
+    packed = np.zeros(len(cols[0]), dtype=np.int64)
+    for col, b, span in zip(cols, lo, spans):
+        packed *= span
+        packed += col
+        packed -= b
+    if counts is None:
+        packed, summed = np.unique(packed, return_counts=True)
+    else:
+        packed, inverse = np.unique(packed, return_inverse=True)
+        summed = np.bincount(inverse, weights=counts, minlength=len(packed))
+    uniq = np.empty((len(packed), len(cols)), dtype=np.int64)
+    for k in range(len(cols) - 1, -1, -1):
+        packed, uniq[:, k] = np.divmod(packed, spans[k])
+    return uniq + np.array(lo, dtype=np.int64), summed.astype(np.int64)
 
 
 def _flat_autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedPointMeasure:
+    """Flat patches with more than one central dimension, by KD-tree."""
     dz = P.dim_z
     vol = ball_volume(dz, T)
-    if dz == 1:
-        zs = P.z[:, 0]
-        x_idx = np.flatnonzero(np.abs(zs) <= T + 1e-12)
-        lo = np.searchsorted(zs, zs[x_idx] - range_ - 1e-9)
-        hi = np.searchsorted(zs, zs[x_idx] + range_ + 1e-9, side="right")
-        rows, cols = _expand_ranges(lo, hi)
-        i_idx = x_idx[rows]
-        dvals = zs[cols] - zs[i_idx]
-        keep = np.abs(dvals) <= range_ + 1e-12
-        i_idx, cols, dvals = i_idx[keep], cols[keep], dvals[keep]
-        if P.exact is not None:
-            dza = P.exact.za[cols, 0] - P.exact.za[i_idx, 0]
-            dzb = P.exact.zb[cols, 0] - P.exact.zb[i_idx, 0]
-            uniq, counts = _count_keys(np.column_stack([dza, dzb]))
-            z_atoms = (uniq[:, 0] + uniq[:, 1] * math.sqrt(P.exact.d)).reshape(-1, 1)
-            exact = ExactCoords(
-                za=uniq[:, :1], zb=uniq[:, 1:2],
-                qa=np.zeros((len(uniq), 0), dtype=np.int64),
-                qb=np.zeros((len(uniq), 0), dtype=np.int64),
-                d=P.exact.d,
-            )
-        else:
-            uniq, counts = _count_keys(_quant_keys(dvals).reshape(-1, 1))
-            z_atoms = uniq * QUANT
-            exact = None
-        return WeightedPointMeasure(
-            dim_z=1, dim_q=0, z=z_atoms, q=np.zeros((len(z_atoms), 0)),
-            weights=counts / vol, range_=range_, normalization=vol, exact=exact,
-        )
     tree = cKDTree(P.z)
     norms = np.sqrt(np.sum(P.z * P.z, axis=1))
     x_idx = np.flatnonzero(norms <= T + 1e-12)
@@ -139,89 +126,82 @@ def _flat_autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedPoi
         keep = np.sqrt(np.sum(d * d, axis=1)) <= range_ + 1e-12
         key_rows.append(_quant_keys(d[keep]))
     keys = np.concatenate(key_rows, axis=0) if key_rows else np.zeros((0, dz), dtype=np.int64)
-    uniq, counts = _count_keys(keys)
+    uniq, counts = _aggregate_keys(list(keys.T))
     return WeightedPointMeasure(
         dim_z=dz, dim_q=0, z=uniq * QUANT, q=np.zeros((len(uniq), 0)),
         weights=counts / vol, range_=range_, normalization=vol, exact=None,
     )
 
 
-def _mixed_autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedPointMeasure:
+def _window_autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedPointMeasure:
+    """Autocorrelation with one central dimension, flat or mixed.
+
+    Rows are grouped into fibers by q-key and sorted by z inside each; a
+    flat patch is one fiber.  Each x-fiber i pairs with every fiber j
+    whose delta lies within range, through one sorted-window search
+    around z_x + beta(delta_i, delta_j) over all of them at once, and its
+    pairs are counted by (neighbour, z-key) before the q-keys are
+    attached, so memory stays per x-fiber.
+    """
     if P.dim_z != 1:
         raise NotImplementedError("mixed autocorrelation implemented for one central dimension")
     g = P.group
-    vol = gauge_ball_volume(P.dim_z, P.dim_q, T)
-    order, bounds = fiber_partition(P)
-    heads = order[bounds[:-1]]
+    n = P.n
+    vol = gauge_ball_volume(1, P.dim_q, T)
+    # The gauge is |z| on a flat patch and max(|q|, sqrt|z|) on a mixed one.
+    t_z, w = (T, range_) if P.dim_q == 0 else (T * T, range_ * range_)
+    order, starts = group_rows(P.q_key_matrix, (P.z[:, 0],))
+    bounds = np.append(starts, n)
+    zs = P.z[order, 0]
+    # Fiber-major integer keys, z-rank inside: a search in fiber j for a
+    # value v is exact, with no float offset between fibers.
+    by_z = np.argsort(zs, kind="stable")
+    rank = np.argsort(by_z)
+    seg_key = np.repeat(np.arange(len(starts), dtype=np.int64) * n, np.diff(bounds)) + rank
+    z_sorted = zs[by_z]
+
+    def window_edge(fj: np.ndarray, v: np.ndarray, side: str) -> np.ndarray:
+        return np.searchsorted(seg_key, fj * n + np.searchsorted(z_sorted, v, side=side))
+
+    heads = order[starts]
     deltas = P.q[heads]
-    fiber_z = []
-    fiber_za = []
-    fiber_zb = []
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        rows = order[s:e]
-        zvals = P.z[rows, 0]
-        srt = np.argsort(zvals, kind="stable")
-        fiber_z.append(zvals[srt])
-        if P.exact is not None:
-            fiber_za.append(P.exact.za[rows[srt], 0])
-            fiber_zb.append(P.exact.zb[rows[srt], 0])
     exact_mode = P.exact is not None and g.cocycle.is_integral
     if exact_mode:
+        za, zb = P.exact.za[order, 0], P.exact.zb[order, 0]
         head_qa, head_qb = P.exact.qa[heads], P.exact.qb[heads]
         head_keys = P.q_key_matrix[heads]
-    dnorm = np.sqrt(np.sum(deltas * deltas, axis=1))
-    x_fibers = np.flatnonzero(dnorm <= T + 1e-12)
-    center_tree = cKDTree(deltas)
-    r2 = range_ * range_
-    all_keys: list[np.ndarray] = []
-    all_counts: list[np.ndarray] = []
-    for fi in x_fibers:
-        z1 = fiber_z[fi]
-        x_mask = np.abs(z1) <= T * T + 1e-12
-        if not np.any(x_mask):
-            continue
-        x_idx = np.flatnonzero(x_mask)
-        z1m = z1[x_mask]
-        neighbors = np.array(sorted(center_tree.query_ball_point(deltas[fi], range_ + 1e-9)))
+    width = 2 + 2 * P.dim_q if exact_mode else 1 + P.dim_q
+    all_keys = [np.zeros((0, width), dtype=np.int64)]
+    all_counts = [np.zeros(0, dtype=np.int64)]
+    for fi in np.flatnonzero(np.sqrt(np.sum(deltas * deltas, axis=1)) <= T + 1e-12):
+        xs = np.arange(bounds[fi], bounds[fi + 1])
+        xs = xs[np.abs(zs[xs]) <= t_z + 1e-12]
+        dq = deltas - deltas[fi]
+        nb = np.flatnonzero(np.sqrt(np.sum(dq * dq, axis=1)) <= range_ + 1e-12)
+        # One query per (x point, neighbour fiber): its row src in zs and
+        # the neighbour's slot in nb.
+        src = np.repeat(xs, len(nb))
+        slot = np.tile(np.arange(len(nb)), len(xs))
+        z1 = zs[src]
+        c = g.cocycle.beta(deltas[fi], deltas[nb])[slot, 0]
+        lo = window_edge(nb[slot], z1 + c - w - 1e-9, "left")
+        hi = window_edge(nb[slot], z1 + c + w + 1e-9, "right")
+        rows, cols = _expand_ranges(lo, hi)
+        dz = zs[cols] - z1[rows] - c[rows]
+        keep = np.abs(dz) <= w + 1e-12
+        rows, cols, dz = rows[keep], cols[keep], dz[keep]
+        j = slot[rows]
         if exact_mode:
-            ca, cb = g.cocycle.beta_exact(
-                head_qa[fi], head_qb[fi], head_qa[neighbors], head_qb[neighbors], P.exact.d
-            )
-        for nj, fj in enumerate(neighbors):
-            dq = deltas[fj] - deltas[fi]
-            if math.sqrt(float(np.dot(dq, dq))) > range_ + 1e-12:
-                continue
-            c = float(g.cocycle.beta(deltas[fi], deltas[fj])[0])
-            z2 = fiber_z[fj]
-            lo = np.searchsorted(z2, z1m + c - r2 - 1e-9)
-            hi = np.searchsorted(z2, z1m + c + r2 + 1e-9, side="right")
-            rows, cols = _expand_ranges(lo, hi)
-            if len(rows) == 0:
-                continue
-            dz = z2[cols] - z1m[rows] - c
-            keep = np.abs(dz) <= r2 + 1e-12
-            rows, cols, dz = rows[keep], cols[keep], dz[keep]
-            if len(rows) == 0:
-                continue
-            if exact_mode:
-                dza = fiber_za[fj][cols] - fiber_za[fi][x_idx[rows]] - ca[nj, 0]
-                dzb = fiber_zb[fj][cols] - fiber_zb[fi][x_idx[rows]] - cb[nj, 0]
-                uniqk, cnt = _count_keys(np.column_stack([dza, dzb]))
-                fixed = head_keys[fj] - head_keys[fi]
-            else:
-                uniqk, cnt = _count_keys(_quant_keys(dz).reshape(-1, 1))
-                fixed = _quant_keys(dq)
-            all_keys.append(np.column_stack([uniqk, np.tile(fixed, (len(uniqk), 1))]))
-            all_counts.append(cnt)
-    if not all_keys:
-        empty = np.zeros((0, P.dim_q))
-        return WeightedPointMeasure(
-            dim_z=1, dim_q=P.dim_q, z=np.zeros((0, 1)), q=empty,
-            weights=np.zeros(0), range_=range_, normalization=vol, exact=None,
-        )
-    keys = np.concatenate(all_keys, axis=0)
-    counts = np.concatenate(all_counts, axis=0).astype(np.int64)
-    keys, counts = _aggregate_keys(keys, counts)
+            ca, cb = g.cocycle.beta_exact(head_qa[fi], head_qb[fi], head_qa[nb], head_qb[nb], P.exact.d)
+            pair_keys = [j, za[cols] - (za[src] + ca[slot, 0])[rows], zb[cols] - (zb[src] + cb[slot, 0])[rows]]
+            q_keys = head_keys[nb] - head_keys[fi]
+        else:
+            pair_keys = [j, _quant_keys(dz)]
+            q_keys = _quant_keys(dq[nb])
+        uniq, cnt = _aggregate_keys(pair_keys)
+        all_keys.append(np.column_stack([uniq[:, 1:], q_keys[uniq[:, 0]]]))
+        all_counts.append(cnt)
+    keys, counts = _aggregate_keys(list(np.concatenate(all_keys).T), np.concatenate(all_counts))
     if exact_mode:
         d = P.exact.d
         z_atoms = (keys[:, 0] + keys[:, 1] * math.sqrt(d)).reshape(-1, 1)
@@ -259,17 +239,19 @@ def autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedPointMeas
                 f"averaging to T={T:.6g} with range {range_:.6g} needs core "
                 f"{need:.6g}, patch has {P.core_z:.6g}"
             )
-        return _flat_autocorrelation(P, T, range_)
-    drift = P.group.cocycle.drift_bound
-    need_q = T + range_
-    need_z = T * T + range_ * range_ + drift * T * range_
-    if P.core_q + 1e-9 < need_q or P.core_z + 1e-9 < need_z:
-        raise WindowShortfallError(
-            f"averaging to T={T:.6g} with range {range_:.6g} needs cores "
-            f"(z={need_z:.6g}, q={need_q:.6g}), patch has "
-            f"(z={P.core_z:.6g}, q={P.core_q:.6g})"
-        )
-    return _mixed_autocorrelation(P, T, range_)
+        if P.dim_z != 1:
+            return _flat_autocorrelation(P, T, range_)
+    else:
+        drift = P.group.cocycle.drift_bound
+        need_q = T + range_
+        need_z = T * T + range_ * range_ + drift * T * range_
+        if P.core_q + 1e-9 < need_q or P.core_z + 1e-9 < need_z:
+            raise WindowShortfallError(
+                f"averaging to T={T:.6g} with range {range_:.6g} needs cores "
+                f"(z={need_z:.6g}, q={need_q:.6g}), patch has "
+                f"(z={P.core_z:.6g}, q={P.core_q:.6g})"
+            )
+    return _window_autocorrelation(P, T, range_)
 
 
 def central_autocorrelation(eta: WeightedPointMeasure) -> WeightedPointMeasure:

@@ -568,7 +568,7 @@ def covering_radius(
     hz = h if flat else h * h
     axes = [_axis_grid(z_radius, hz)] * g.dim_z + [_axis_grid(q_radius, h)] * g.dim_q
     n_probes = int(np.prod([len(a) for a in axes]))
-    if flat and n_probes > 5_000_000:
+    if n_probes > 5_000_000:
         raise ValueError("probe grid too fine; increase h")
     if not flat and n_probes * p.n > 200_000_000:
         raise ValueError("mixed probe grid too fine for this patch; increase h")

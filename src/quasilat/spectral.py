@@ -119,6 +119,17 @@ def twisted_density(
     on which the fiber is complete.  Defaults to the largest point norm,
     which is only safe when the fiber was cut to exactly that ball.
     """
+    return _twisted_densities(fiber, np.array([xi.theta]), T_schedule, core)[0]
+
+
+def _twisted_densities(
+    fiber: Union[np.ndarray, Sequence],
+    thetas: np.ndarray,
+    T_schedule: Sequence[float],
+    core: Optional[float],
+) -> list[DensityEstimate]:
+    """twisted_density for every row of thetas, sorting the fiber once:
+    the phases are summed along the sorted rows and cut at the schedule."""
     z = _as_rows(fiber)
     schedule = [float(t) for t in T_schedule]
     if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
@@ -135,25 +146,28 @@ def twisted_density(
         )
     m = z.shape[1]
     order = np.lexsort(tuple(z[:, k] for k in range(m - 1, -1, -1)) + (norms,))
-    norms_sorted = norms[order]
-    phases = np.cumsum(xi.conj_values(z[order])) if len(order) else np.zeros(0, dtype=complex)
-    partials: list[tuple[float, complex]] = []
-    for T in schedule:
-        idx = int(np.searchsorted(norms_sorted, T + 1e-12, side="right"))
-        total = complex(phases[idx - 1]) if idx > 0 else 0.0 + 0.0j
-        partials.append((T, total / ball_volume(m, T)))
-    value = partials[-1][1]
-    start = (3 * len(partials)) // 4
-    start = min(start, len(partials) - 1)
-    tail = max(abs(v - value) for _, v in partials[start:])
-    return DensityEstimate(
-        value=value,
-        T_final=schedule[-1],
-        partials=tuple(partials),
-        cauchy_tail=tail,
-        converged=bool(tail < max(CONVERGENCE_REL * abs(value), CONVERGENCE_ABS)),
-        n_points=len(z),
-    )
+    z_sorted = z[order]
+    cuts = np.searchsorted(norms[order], np.array(schedule) + 1e-12, side="right")
+    vols = [ball_volume(m, T) for T in schedule]
+    start = min((3 * len(schedule)) // 4, len(schedule) - 1)
+    out = []
+    block = max(1, 1_000_000 // max(len(z), 1))
+    for b0 in range(0, len(thetas), block):
+        phases = np.exp(-2j * math.pi * (z_sorted @ thetas[b0 : b0 + block].T))
+        sums = np.concatenate([np.zeros((1, phases.shape[1])), np.cumsum(phases, axis=0)])[cuts]
+        for col in sums.T:
+            partials = tuple((T, complex(total) / vol) for T, total, vol in zip(schedule, col, vols))
+            value = partials[-1][1]
+            tail = max(abs(v - value) for _, v in partials[start:])
+            out.append(DensityEstimate(
+                value=value,
+                T_final=schedule[-1],
+                partials=partials,
+                cauchy_tail=tail,
+                converged=bool(tail < max(CONVERGENCE_REL * abs(value), CONVERGENCE_ABS)),
+                n_points=len(z),
+            ))
+    return out
 
 
 def equivariance_residual(

@@ -167,6 +167,32 @@ def test_spectrum_csv_contents(tmp_path, capsys):
     assert float(center[4]) == pytest.approx(abs(want.value) ** 2, abs=1e-10)
 
 
+@pytest.mark.parametrize("gen, T", [
+    (["--scheme", "silver", "--R", "1", "--T", "300"], 300.0),
+    (["--scheme", "heisenberg", "--T", "10", "--T-q", "2"], 9.0),
+])
+def test_spectrum_rows_equal_twisted_density(tmp_path, capsys, gen, T):
+    from quasilat.cli import _fmt, _identity_fiber
+
+    patch = tmp_path / "p.json"
+    csv = tmp_path / "spectrum.csv"
+    run(capsys, "generate", *gen, "-o", str(patch))
+    code, out, err = run(capsys, "spectrum", "--in", str(patch), "--K", "0.5", "--h", "0.01",
+                         "--S", "1", "--T", str(T), "-o", str(csv))
+    assert code == 0
+    rows = csv.read_text().splitlines()[1:]
+    P = load_patch(str(patch))
+    grid = sp._frequency_grid(0.5, 0.01)[:, 0]
+    assert len(rows) == len(grid) == 101
+    for row, theta in zip(rows, grid):
+        est = sp.twisted_density(_identity_fiber(P), sp.character(theta),
+                                 sp.default_schedule(T), core=P.core_z)
+        want = [theta, est.value.real, est.value.imag, abs(est.value) ** 2]
+        fields = row.split(",")
+        assert fields[:4] == [_fmt(v) for v in want]
+        assert fields[5:] == [_fmt(est.T_final), _fmt(est.cauchy_tail)]
+
+
 def test_bragg_csv_and_summary(tmp_path, capsys):
     patch = tmp_path / "z.json"
     csv = tmp_path / "bragg.csv"

@@ -14,6 +14,7 @@ from quasilat.errors import (
     InsufficientWindowError,
     WindowShortfallError,
 )
+from quasilat.pointset import QUANT
 
 S2 = math.sqrt(2.0)
 
@@ -121,6 +122,86 @@ def test_mixed_silver_product_matches_exact_group_law():
     assert len(keys) == len(set(keys)) and set(keys) == set(brute)
     assert [brute[k] / eta.normalization for k in keys] == eta.weights.tolist()
     assert any(k[1] for k in keys) and any(k[3] or k[5] for k in keys)
+
+
+def _float_keyed(P, z=None, q=None, pad=0.0):
+    """P's points (or the given ones) as a float-key patch; pad widens
+    the windows beyond the cores."""
+    return ql.make_patch(group=P.group, z=P.z if z is None else z, q=P.q if q is None else q,
+                         window_z=P.core_z + pad, window_q=P.core_q + pad,
+                         core_z=P.core_z, core_q=P.core_q, provenance="float keys")
+
+
+def _quantized_pair_counts(P, T, range_):
+    """Counts of x^-1 y, quantized at QUANT, over gauge(x) <= T and
+    gauge(x^-1 y) <= range, by the scalar group law."""
+    G = P.group
+    brute = Counter()
+    for i in range(P.n):
+        x = G.element(P.z[i], P.q[i])
+        if G.gauge(x) > T + 1e-12:
+            continue
+        x_inv = G.inv(x)
+        # the q box only prunes; membership is decided by the gauge
+        for j in np.flatnonzero(np.abs(P.q - P.q[i]).max(axis=1, initial=0) <= range_ + 1e-6):
+            d = G.mul(x_inv, G.element(P.z[j], P.q[j]))
+            if G.gauge(d) <= range_ + 1e-12:
+                brute[tuple(round(v / QUANT) for v in d.z + d.q)] += 1
+    return brute
+
+
+def _assert_float_atoms(eta, brute):
+    assert eta.exact is None
+    got = {
+        tuple(round(v / QUANT) for v in (*z, *q)): w
+        for z, q, w in zip(eta.z, eta.q, eta.weights)
+    }
+    assert got == {k: c / eta.normalization for k, c in brute.items()}
+
+
+@pytest.mark.parametrize("case", ["h3_lattice", "h3_perturbed", "silver"])
+def test_float_key_autocorrelation_matches_group_law(case):
+    rng = np.random.default_rng(7)
+    if case == "silver":
+        P, T, range_ = _float_keyed(ql.model_set_1d(1, 30.0)), 20.0, 3.0
+    else:
+        L = ql.integer_lattice_patch(ql.heisenberg_group(), window_z=7.0, window_q=3.0)
+        P, T, range_ = _float_keyed(L), 1.5, 1.5
+        if case == "h3_perturbed":
+            # every point its own fiber
+            P = _float_keyed(L, L.z + 1e-6 * rng.standard_normal(L.z.shape),
+                             L.q + 1e-6 * rng.standard_normal(L.q.shape), pad=0.5)
+            assert len({tuple(r) for r in P.q_key_matrix.tolist()}) == P.n
+    eta = df.autocorrelation(P, T, range_)
+    brute = _quantized_pair_counts(P, T, range_)
+    assert len(brute) > 5
+    _assert_float_atoms(eta, brute)
+
+
+def test_window_search_is_exact_far_from_the_origin():
+    # 30 fibers over a z window of 2e6: a float offset of fiber * span
+    # would have an ulp above the 1e-9 search pad.  Each neighbour fiber
+    # holds points exactly at |dz - c| = range^2 from every x point.
+    H = ql.heisenberg_group()
+    T, range_ = 1.0, 2.1
+    fibers = [(a, b) for a in range(-2, 3) for b in range(-2, 4)]
+    pts = {f: [1e6 - 0.5 * f[0], -1e6 + 0.25 * f[1]] for f in fibers}
+    for qi in fibers:
+        if math.hypot(*qi) > T:
+            continue
+        for z1 in (-0.9, -0.7, -0.3, 0.1, 0.3, 0.6):
+            pts[qi].append(z1)
+            for qj in fibers:
+                if math.hypot(qj[0] - qi[0], qj[1] - qi[1]) <= range_:
+                    c = float(H.cocycle.beta(np.array(qi, float), np.array(qj, float))[0])
+                    pts[qj] += [z1 + c - range_ ** 2, z1 + c + range_ ** 2]
+    z = np.array([[v] for f in fibers for v in pts[f]])
+    q = np.array([f for f in fibers for _ in pts[f]], dtype=float)
+    P = ql.make_patch(group=H, z=z, q=q, window_z=2e6, window_q=3.1,
+                      core_z=2e6, core_q=3.1, provenance="boundary pairs")
+    brute = _quantized_pair_counts(P, T, range_)
+    assert sum(brute.values()) > 2 * 30 * 13
+    _assert_float_atoms(df.autocorrelation(P, T, range_), brute)
 
 
 def test_mixed_weights_symmetric_under_inversion(h3_eta):

@@ -385,3 +385,13 @@ def test_covering_radius_refuses_negative_radii():
     P = ql.integer_lattice_patch(ql.heisenberg_group(), window_z=2.0, window_q=1.0)
     with pytest.raises(ValueError, match="non-negative"):
         ql.covering_radius(P, z_radius=-0.5, q_radius=0.5, h=0.25)
+
+
+def test_covering_radius_refuses_a_fine_mixed_grid_before_building_it():
+    # 5001 z probes (step h^2) times 101^2 q probes is 51M rows: the grid
+    # alone would take gigabytes, however few points the patch has.
+    H = ql.heisenberg_group()
+    P = ql.make_patch(group=H, z=np.zeros((1, 1)), q=np.zeros((1, 2)), window_z=1.0,
+                      window_q=1.0, core_z=1.0, core_q=1.0, provenance="one point")
+    with pytest.raises(ValueError, match="probe grid too fine"):
+        ql.covering_radius(P, h=0.02)
