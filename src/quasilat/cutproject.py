@@ -32,7 +32,7 @@ from .pointset import (
     min_gap,
     minkowski,
 )
-from .ring import silver_points
+from .ring import _silver_coeffs
 
 MATCH_TOL = 1e-9
 
@@ -115,8 +115,9 @@ def generate_model_set(scheme: CutProjectScheme, T: float) -> PointPatch:
         raise ValueError("physical radius must be nonnegative")
     if scheme.kind == "silver":
         lo, hi = scheme.window[0]
-        pts = silver_points(lo, hi, T)
-        exact = ExactCoords.from_quadints_z(pts)
+        a, b = _silver_coeffs(lo, hi, T)
+        none = np.zeros((len(a), 0), dtype=np.int64)
+        exact = ExactCoords(za=a[:, None], zb=b[:, None], qa=none, qb=none)
         return make_patch(
             group=abelian_group(dim_z=1, dim_q=0),
             z=exact.embed_z(),

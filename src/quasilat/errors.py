@@ -34,5 +34,9 @@ class ThresholdTooSmallError(QuasilatError):
     """No fiber satisfies the requested relative-denseness threshold."""
 
 
+class DegenerateBallError(QuasilatError):
+    """An averaging ball has radius <= 0, so its volume vanishes."""
+
+
 class DegenerateDensityError(QuasilatError):
     """The reference coefficient c_1 vanished; the scan is meaningless."""

@@ -15,9 +15,10 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .errors import CoefficientOverflowError
 from .pointset import ExactCoords, PointPatch
-from .group import GroupElement
-from .ring import QuadInt
+from .group import GroupElement, _max_abs
+from .ring import COEFF_LIMIT, QuadInt
 
 ROOT_TOL = 1e-8
 
@@ -244,6 +245,10 @@ class DilationReport:
 def _scale_int_pairs(
     a_cols: np.ndarray, b_cols: np.ndarray, t: QuadInt
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Exact t * (a + b*sqrt(d)) per entry, size-checked before multiplying
+    so int64 never wraps."""
+    if max(_max_abs(a_cols, b_cols), 1) * (abs(t.a) + t.d * abs(t.b)) > COEFF_LIMIT:
+        raise CoefficientOverflowError("dilation images would exceed the safe limit")
     return (
         t.a * a_cols + t.d * t.b * b_cols,
         t.a * b_cols + t.b * a_cols,

@@ -22,12 +22,13 @@ from scipy.spatial import cKDTree
 
 from .cutproject import fiber as extract_fiber
 from .cutproject import project
-from .errors import InsufficientWindowError
+from .errors import DegenerateBallError, InsufficientWindowError
 from .group import Cocycle, GroupElement, ball_volume
 from .pointset import PointPatch, _axis_grid, _grid_rows, _quant_keys, group_rows, translate
 
 CONVERGENCE_ABS = 1e-3
 CONVERGENCE_REL = 0.05
+_PHASE_BLOCK = 1_000_000  # (point, theta) entries formed at once
 
 _THREADS = 1
 
@@ -37,6 +38,18 @@ def set_threads(n: int) -> None:
     into preassigned output slots, so any count gives identical bits."""
     global _THREADS
     _THREADS = max(1, int(n))
+
+
+def _theta_block(n_points: int) -> int:
+    """Thetas per block, so a block holds about _PHASE_BLOCK entries."""
+    return max(1, _PHASE_BLOCK // max(n_points, 1))
+
+
+def _phase_columns(z: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """exp(-2 pi i <z, theta>), one column per theta row.  numpy sums a
+    lone column pairwise but several columns row by row, so a lone theta
+    gets a twin column: every theta is then summed in the same order."""
+    return np.exp(-2j * math.pi * (z @ np.repeat(thetas, 1 + (len(thetas) == 1), axis=0).T))
 
 
 def _map_blocks(fn, starts: Sequence[int]) -> None:
@@ -151,7 +164,7 @@ def _twisted_densities(
     vols = [ball_volume(m, T) for T in schedule]
     start = min((3 * len(schedule)) // 4, len(schedule) - 1)
     out = []
-    block = max(1, 1_000_000 // max(len(z), 1))
+    block = _theta_block(len(z))
     for b0 in range(0, len(thetas), block):
         phases = np.exp(-2j * math.pi * (z_sorted @ thetas[b0 : b0 + block].T))
         sums = np.concatenate([np.zeros((1, phases.shape[1])), np.cumsum(phases, axis=0)])[cuts]
@@ -214,6 +227,8 @@ def palm_profile(
     palm_coefficient exactly (same ordering and partial sums).
     """
     thetas = np.asarray(thetas, dtype=float).reshape(-1, P.dim_z)
+    if T <= 0:
+        raise DegenerateBallError(f"averaging radius T={T:.6g} must be positive")
     if P.dim_q == 0:
         if T > P.core_z + 1e-9:
             raise InsufficientWindowError(
@@ -223,15 +238,19 @@ def palm_profile(
         zm = P.z[norms <= T + 1e-12]
         vol = ball_volume(P.dim_z, T)
         out = np.empty(len(thetas))
-        block = max(1, 20_000_000 // max(len(zm), 1))
+        block = _theta_block(len(zm))
 
         def run_abs(b0: int) -> None:
             th = thetas[b0 : b0 + block]
-            vals = np.exp(-2j * math.pi * (zm @ th.T))
-            out[b0 : b0 + block] = np.abs(vals.sum(axis=0) / vol) ** 2
+            vals = _phase_columns(zm, th)
+            out[b0 : b0 + block] = (np.abs(vals.sum(axis=0) / vol) ** 2)[: len(th)]
 
         _map_blocks(run_abs, range(0, len(thetas), block))
         return out
+    if S <= 0:
+        raise DegenerateBallError(
+            f"Palm radius S={S:.6g} must be positive on a fibered patch"
+        )
     if S > P.core_q + 1e-9:
         raise InsufficientWindowError(
             f"S={S:.6g} exceeds the trusted q-core {P.core_q:.6g}"
@@ -251,14 +270,14 @@ def palm_profile(
     vol_q = ball_volume(P.dim_q, S)
     starts = bounds[:-1]
     out = np.empty(len(thetas))
-    block = max(1, 40_000_000 // max(P.n, 1))
+    block = _theta_block(P.n)
 
     def run_fibered(b0: int) -> None:
         th = thetas[b0 : b0 + block]
-        phases = np.exp(-2j * math.pi * (z_sorted @ th.T)) * zmask[:, None]
-        sums = np.add.reduceat(phases, starts, axis=0) if len(starts) else np.zeros((0, th.shape[0], ), dtype=complex)
+        phases = _phase_columns(z_sorted, th) * zmask[:, None]
+        sums = np.add.reduceat(phases, starts, axis=0) if len(starts) else np.zeros((0, phases.shape[1]), dtype=complex)
         dens = np.abs(sums / vol_z) ** 2
-        out[b0 : b0 + block] = dens[fiber_sel].sum(axis=0) / vol_q
+        out[b0 : b0 + block] = (dens[fiber_sel].sum(axis=0) / vol_q)[: len(th)]
 
     _map_blocks(run_fibered, range(0, len(thetas), block))
     return out
@@ -427,7 +446,7 @@ def epsilon_dual(Xi: PointPatch, eps: float, K: float, h: float) -> EpsilonDualR
         raise ValueError("empty patch")
     grid = _frequency_grid(K, h, Xi.dim_z)
     res = np.empty(len(grid))
-    block = max(1, 20_000_000 // max(Xi.n, 1))
+    block = _theta_block(Xi.n)
     for i0 in range(0, len(grid), block):
         phase = grid[i0 : i0 + block] @ Xi.z.T
         res[i0 : i0 + block] = 2.0 * np.abs(np.sin(math.pi * phase)).max(axis=1)

@@ -346,3 +346,18 @@ def test_readme_examples_print_what_the_readme_shows(tmp_path, capsys):
     bragg = lines("bragg", "--in", silver, "--eps", "0.5", "--K", "3", "--h", "0.01",
                   "--T", "9", "-o", str(tmp_path / "bragg.csv"))
     assert bragg == ["c_1=0.521604938272 peaks=37 max_gap=0.82"]
+
+
+def test_spectrum_and_bragg_refuse_a_zero_palm_radius_on_fibers(tmp_path, capsys):
+    # --S defaults to 0, an empty q-ball: c_xi would divide by its zero volume.
+    patch = str(tmp_path / "h.json")
+    code, _, _ = run(capsys, "generate", "--scheme", "heisenberg",
+                     "--T", "10", "--T-q", "2", "-o", patch)
+    assert code == 0
+    csv = tmp_path / "s.csv"
+    code, out, err = run(capsys, "spectrum", "--in", patch, "--K", "0.5", "--h", "0.01",
+                         "--T", "9", "-o", str(csv))
+    assert code == 1 and "S=0" in err and not csv.exists()
+    code, out, err = run(capsys, "bragg", "--in", patch, "--eps", "0.5", "--K", "0.5",
+                         "--h", "0.01", "--T", "9", "-o", str(tmp_path / "b.csv"))
+    assert code == 1 and "S=0" in err and "inf" not in out

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 import quasilat as ql
 import quasilat.pisot as ps
+from quasilat.errors import CoefficientOverflowError
 
 S2 = math.sqrt(2.0)
 
@@ -205,3 +206,16 @@ def test_tower_completion_deterministic():
     b = ps.tower_spectrum_check(blocks, seed=11)
     assert a.completion_residual == b.completion_residual
     assert a.spectrum == b.spectrum
+
+
+def test_dilation_refuses_images_beyond_the_safe_limit():
+    # (1 - sqrt2)(a + b sqrt2) has a-part a - 2b = -10242640687119285146,
+    # below -2**63; int64 arithmetic would wrap it to 8204103386590266470.
+    none = np.zeros((1, 0), dtype=np.int64)
+    exact = ql.ExactCoords(
+        za=np.array([[-4242640687119285146]]), zb=np.array([[3 * 10**18]]), qa=none, qb=none
+    )
+    P = ql.patch_from_exact(ql.abelian_group(1, 0), exact, 10.0, 0.0, 10.0, 0.0)
+    assert abs(P.z[0, 0]) <= 10.0
+    with pytest.raises(CoefficientOverflowError):
+        ps.dilation_invariance(P, ql.QuadInt(1, -1, 2))

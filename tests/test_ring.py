@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quasilat as ql
@@ -121,7 +121,9 @@ def brute_silver(lo, hi, T):
     return out
 
 
-@pytest.mark.parametrize("lo,hi,T", [(-1, 1, 3), (-1, 1, 12), (0, 1, 8), (-0.5, 2, 6)])
+@pytest.mark.parametrize("lo,hi,T", [(-1, 1, 3), (-1, 1, 12), (0, 1, 8), (-0.5, 2, 6),
+                                     # windows past T + sqrt2: the ball bounds b
+                                     (5, 6, 1), (-10, 10, 2), (-7.5, -3, 0.5)])
 def test_silver_points_match_brute_force(lo, hi, T):
     pts = ql.silver_points(lo, hi, float(T))
     assert {(p.a, p.b) for p in pts} == brute_silver(lo, hi, T)
@@ -141,3 +143,99 @@ def test_model_set_1d_matches_silver_points():
 def test_embed_many_matches_loop():
     pts = ql.silver_points(-1, 1, 15.0)
     np.testing.assert_allclose(embed_many(pts), [p.embed() for p in pts], atol=0.0)
+
+
+def silver_oracle(lo, hi, T, d=2):
+    """The scalar enumeration: padded float bounds per a (b by the window
+    and by the ball (+-T - a)/sqrt(d)), then the exact Fraction test on
+    every candidate, sorted by (embed(), a)."""
+    lo_f, hi_f, t_f = (float(Fraction(v)) for v in (lo, hi, T))
+    if hi_f < lo_f or t_f < 0:
+        return []
+    rt = math.sqrt(d)
+    out = []
+    for a in range(math.floor((-t_f + lo_f) / 2) - 1, math.ceil((t_f + hi_f) / 2) + 2):
+        b_lo = math.floor(max((a - hi_f) / rt, (-t_f - a) / rt)) - 1
+        b_hi = math.ceil(min((a - lo_f) / rt, (t_f - a) / rt)) + 1
+        for b in range(b_lo, b_hi + 1):
+            if ql.abs_le(a, b, T, d) and ql.in_closed_interval(a, -b, lo, hi, d):
+                out.append(QuadInt(a, b, d))
+    out.sort(key=lambda x: (x.embed(), x.a))
+    return out
+
+
+bounds = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.builds(Fraction, st.integers(min_value=-40, max_value=40), st.sampled_from([1, 2, 3, 7])),
+    st.floats(min_value=-6, max_value=6, allow_nan=False),
+    st.sampled_from([0.1, -0.1, 0.7, 1 / 3]),
+)
+radii = st.one_of(
+    st.just(0),
+    st.integers(min_value=0, max_value=25),
+    st.builds(Fraction, st.integers(min_value=0, max_value=75), st.sampled_from([1, 3])),
+    st.floats(min_value=0, max_value=25, allow_nan=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounds, bounds, radii, st.sampled_from([2, 3, 5, 7]))
+def test_silver_points_match_fraction_oracle(lo, hi, T, d):
+    # Integer endpoints and radii land exactly on the points a + 0*sqrt(d),
+    # and independent endpoints include empty windows (hi < lo).
+    assert ql.silver_points(lo, hi, T, d) == silver_oracle(lo, hi, T, d)
+
+
+def test_silver_points_near_the_float_limit():
+    # Coefficients near 2**49: floats decide nothing here, the exact test does.
+    lo, hi, T = 2**50, 2**50 + 3, 2
+    want = set()
+    for a in range((lo - T) // 2 - 2, (hi + T) // 2 + 3):
+        b0 = -math.isqrt((a - lo) ** 2 // 2)
+        for b in range(b0 - 6, b0 + 7):
+            if ql.abs_le(a, b, T) and ql.in_closed_interval(a, -b, lo, hi):
+                want.add((a, b))
+    got = ql.silver_points(lo, hi, T)
+    assert {(p.a, p.b) for p in got} == want and len(want) > 0
+    assert got == sorted(got, key=lambda x: (x.embed(), x.a))
+
+
+def test_silver_points_decide_bounds_floats_cannot_tell_apart():
+    # Pell fractions p/q with p^2 - 2q^2 = -1 (below sqrt 2) and +1 (above)
+    # round to the float sqrt(2); x* = sqrt(2) at (a, b) = (0, -1) lies
+    # outside [0, below] and [above, 3] all the same.
+    below, above = Fraction(1, 1), Fraction(3, 2)
+    while below.denominator < 10**9:
+        p, q = below.numerator, below.denominator
+        below = Fraction(3 * p + 4 * q, 2 * p + 3 * q)
+        p, q = above.numerator, above.denominator
+        above = Fraction(3 * p + 4 * q, 2 * p + 3 * q)
+    assert float(below) == float(above) == math.sqrt(2)
+    for lo, hi in ((0, below), (above, 3)):
+        pts = ql.silver_points(lo, hi, 2)
+        assert QuadInt(0, -1) not in pts
+        assert pts == silver_oracle(lo, hi, 2)
+    assert QuadInt(0, -1) in ql.silver_points(0, above, 2)
+    assert QuadInt(0, -1) in ql.silver_points(below, 3, 2)
+
+
+@pytest.mark.parametrize("lo,hi,T", [(-1, 1, 2.0**53), (2**54, 2**54 + 1, 1), (-1, 1, 1e300)])
+def test_silver_points_refuse_coefficients_beyond_float_range(lo, hi, T):
+    with pytest.raises(CoefficientOverflowError):
+        ql.silver_points(lo, hi, T)
+
+
+@pytest.mark.parametrize("lo,hi,T", [(-1.0, 1.0, 150.0), (-0.5, 2.0, 40.0), (-10.0, 10.0, 2.0)])
+def test_generate_model_set_matches_silver_points(lo, hi, T):
+    patch = ql.generate_model_set(ql.silver_scheme(lo, hi), T)
+    provenance = f"model_set(silver,W=[{lo:.12g},{hi:.12g}],T={T:.12g})"
+    want = ql.patch_from_exact(
+        ql.abelian_group(1, 0),
+        ql.ExactCoords.from_quadints_z(ql.silver_points(lo, hi, T)),
+        T, 0.0, T, 0.0, provenance=provenance,
+    )
+    assert np.array_equal(patch.z, want.z)
+    assert np.array_equal(patch.key_matrix, want.key_matrix)
+    assert patch.exact.d == want.exact.d == 2
+    assert (patch.window_z, patch.window_q, patch.core_z, patch.core_q) == (T, 0.0, T, 0.0)
+    assert patch.provenance == want.provenance == provenance

@@ -9,7 +9,7 @@ import pytest
 
 import quasilat as ql
 import quasilat.spectral as sp
-from quasilat.errors import InsufficientWindowError
+from quasilat.errors import DegenerateBallError, InsufficientWindowError
 
 TWO_PI = 2.0 * math.pi
 
@@ -112,6 +112,37 @@ def test_palm_profile_matches_double_loop(split_patch):
     prof = sp.palm_profile(P, np.array([0.0, 0.3]), S, T)
     assert prof[0] == pytest.approx(
         sp.palm_coefficient(P, sp.character(0.0), S, T))
+
+
+def test_palm_refuses_zero_radii(split_patch):
+    flat = ql.model_set_1d(1, 20.0)
+    for P, S, T in ((split_patch, 0.0, 8.0), (split_patch, -1.0, 8.0),
+                    (split_patch, 1.5, 0.0), (flat, 0.0, 0.0)):
+        with pytest.raises(DegenerateBallError):
+            sp.palm_profile(P, np.array([0.0, 0.5]), S, T)
+
+
+def test_results_do_not_depend_on_the_theta_blocks(split_patch, monkeypatch):
+    flat = ql.model_set_1d(1, 60.0)
+    Xi = ql.integer_lattice_patch(ql.abelian_group(2, 0), window_z=3.0)
+    thetas = np.linspace(-1.0, 1.0, 41)
+    cases = ((flat, 0.0, 60.0), (split_patch, 1.5, 8.0))
+
+    def results():
+        eps = sp.epsilon_dual(Xi, 0.5, 1.5, 0.1)
+        return [sp.palm_profile(P, thetas, S, T) for P, S, T in cases] + [eps.thetas, eps.residuals]
+
+    want = results()
+    cuts = [0, 1, 3, 10, 41]
+    for (P, S, T), whole in zip(cases, want):
+        pieces = [sp.palm_profile(P, thetas[a:b], S, T) for a, b in zip(cuts, cuts[1:])]
+        assert np.array_equal(whole, np.concatenate(pieces))
+        assert whole[0] == sp.palm_coefficient(P, sp.character(thetas[0]), S, T)
+    # One theta per block, then a few thetas per block.
+    for budget in (1, 7 * flat.n):
+        monkeypatch.setattr(sp, "_PHASE_BLOCK", budget)
+        for got, ref in zip(results(), want):
+            assert np.array_equal(got, ref)
 
 
 def test_palm_flat_case_is_density_squared():
