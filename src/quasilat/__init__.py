@@ -8,10 +8,12 @@ Bragg peak scans, and Pisot/Salem dilation tests, with a CLI front end.
 from .errors import (
     BoundaryUnsoundError,
     CoefficientOverflowError,
+    DegenerateBallError,
     DegenerateDensityError,
     InsufficientWindowError,
     QuasilatError,
     RadicandMismatchError,
+    SizeLimitError,
     ThresholdTooSmallError,
     WindowShortfallError,
 )

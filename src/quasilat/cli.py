@@ -143,18 +143,6 @@ def load_patch(path: str) -> PointPatch:
         return patch_from_doc(json.load(f))
 
 
-def scheme_to_doc(s: CutProjectScheme) -> dict:
-    doc: dict = {
-        "kind": s.kind,
-        "physical_dim": s.physical_dim,
-        "internal_dim": s.internal_dim,
-        "window": [[float(lo), float(hi)] for lo, hi in s.window],
-    }
-    if s.basis is not None:
-        doc["basis"] = [[float(x) for x in row] for row in s.basis]
-    return doc
-
-
 def scheme_from_doc(doc: dict) -> CutProjectScheme:
     window = [(float(lo), float(hi)) for lo, hi in doc["window"]]
     if doc["kind"] == "silver":
@@ -262,12 +250,6 @@ def _require_positive(parser: argparse.ArgumentParser, **named: Optional[float])
             parser.error(f"argument --{name}: must be positive, got {value:g}")
 
 
-def _identity_fiber(P: PointPatch) -> np.ndarray:
-    if P.dim_q == 0:
-        return P.z
-    return extract_fiber(P, np.zeros(P.dim_q))
-
-
 def _cmd_generate(args, parser) -> int:
     if bool(args.scheme) == bool(args.scheme_file):
         parser.error("exactly one of --scheme / --scheme-file is required")
@@ -351,9 +333,8 @@ def _cmd_density(args, parser) -> int:
             f"argument --theta: expected {P.dim_z} components, got {len(args.theta)}"
         )
     xi = Character(tuple(args.theta))
-    est = twisted_density(
-        _identity_fiber(P), xi, default_schedule(args.T, ratio=args.ratio), core=P.core_z
-    )
+    ident = extract_fiber(P, np.zeros(P.dim_q))
+    est = twisted_density(ident, xi, default_schedule(args.T, ratio=args.ratio), core=P.core_z)
     print(f"D_re={_fmt(est.value.real)} D_im={_fmt(est.value.imag)}")
     print(
         f"abs2={_fmt(abs(est.value) ** 2)} T={_fmt(est.T_final)} "
@@ -382,7 +363,7 @@ def _cmd_spectrum(args, parser) -> int:
     if P.dim_z != 1:
         raise QuasilatError("spectrum CSV is defined for one central dimension")
     grid = _frequency_grid(args.K, args.h)
-    fiber_rows = _identity_fiber(P)
+    fiber_rows = extract_fiber(P, np.zeros(P.dim_q))
     schedule = default_schedule(args.T)
     c_vals = palm_profile(P, grid, args.S, args.T)
     ests = _twisted_densities(fiber_rows, grid, schedule, core=P.core_z)
@@ -495,10 +476,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
     try:
         return _DISPATCH[args.command](args, parser)
-    except QuasilatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, NotImplementedError, OSError) as exc:
+    except (QuasilatError, ValueError, NotImplementedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

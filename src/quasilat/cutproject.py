@@ -9,6 +9,7 @@ by how densely they fill the trusted z-core.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -19,9 +20,12 @@ from .errors import (
     BoundaryUnsoundError,
     InsufficientWindowError,
     ThresholdTooSmallError,
+    check_size,
 )
 from .group import CentralExtensionGroup, Cocycle, abelian_group
 from .pointset import (
+    BALL_PAD,
+    BOUNDARY_PAD,
     ExactCoords,
     PointPatch,
     _grid_rows,
@@ -138,16 +142,9 @@ def generate_model_set(scheme: CutProjectScheme, T: float) -> PointPatch:
         [[lo[j] if (m >> j) & 1 else hi[j] for j in range(n)] for m in range(1 << n)]
     )
     coeff_corners = corners @ np.linalg.inv(basis).T
-    c_lo = np.floor(coeff_corners.min(axis=0)).astype(int) - 1
-    c_hi = np.ceil(coeff_corners.max(axis=0)).astype(int) + 1
-    counts = c_hi - c_lo + 1
-    total = int(np.prod(counts.astype(float)))
-    if total > 20_000_000:
-        raise InsufficientWindowError(
-            f"coefficient box holds {total} candidates; shrink T or the window"
-        )
-    axes = [np.arange(c_lo[j], c_hi[j] + 1) for j in range(n)]
-    coeffs = _grid_rows(axes)
+    c_lo = [math.floor(v) - 1 for v in coeff_corners.min(axis=0).tolist()]
+    c_hi = [math.ceil(v) + 1 for v in coeff_corners.max(axis=0).tolist()]
+    coeffs = _grid_rows([(lo_j, hi_j, 1.0) for lo_j, hi_j in zip(c_lo, c_hi)], "coefficients")
     x = coeffs @ basis.T
     mask = np.all(x >= lo[None, :], axis=1) & np.all(x <= hi[None, :], axis=1)
     phys = x[mask][:, :p]
@@ -227,8 +224,7 @@ def check_symplectic_condition(
         raise ValueError("k must be positive")
     if Delta.n == 0:
         raise ValueError("empty Delta")
-    if Delta.n ** 3 > 50_000_000:
-        raise ValueError("Delta too large for the exhaustive condition check")
+    check_size("triples", Delta.n ** 3)
     # Pairwise beta values; triples follow from bilinearity.
     B = cocycle.beta(Delta.z[:, None, :], Delta.z[None, :, :])  # Delta is flat: its z block is q
     n = Delta.n
@@ -239,7 +235,7 @@ def check_symplectic_condition(
         sum_patch = minkowski(sum_patch, Xi)
     coverage = k * Xi.window_z
     max_abs = float(np.abs(triple).max()) if triple.size else 0.0
-    if max_abs > coverage + 1e-12:
+    if max_abs > coverage + BALL_PAD:
         raise InsufficientWindowError(
             f"beta values reach {max_abs:.6g} but the {k}-fold sum only covers "
             f"[-{coverage:.6g}, {coverage:.6g}]; enlarge the Xi window"
@@ -346,8 +342,6 @@ def fiber(P: PointPatch, delta: Sequence[float], tol: float = MATCH_TOL) -> np.n
     """z-parts of the points of P sitting over delta, as an (n, dim_z)
     array in canonical order.  An unmatched delta gives an empty array."""
     d = np.asarray(delta, dtype=float).reshape(P.dim_q)
-    if P.n == 0:
-        return np.zeros((0, P.dim_z))
     mask = np.all(np.abs(P.q - d[None, :]) <= tol, axis=1)
     return P.z[mask]
 
@@ -373,7 +367,7 @@ class AlignmentReport:
 
 def _core_fibers(P: PointPatch) -> tuple[np.ndarray, np.ndarray]:
     """Rows over the q-core, ordered into fibers by q key: (order, starts)."""
-    idx = np.flatnonzero(np.all(np.abs(P.q) <= P.core_q + 1e-12, axis=1))
+    idx = np.flatnonzero(P.box_mask(math.inf, P.core_q))
     order, starts = group_rows(P.q_key_matrix[idx])
     return idx[order], starts
 
@@ -391,7 +385,7 @@ def alignment_report(
     if P.dim_q == 0 or P.dim_z == 0:
         raise ValueError("alignment needs both a z block and a q block")
     z_radius = P.core_z if z_radius is None else float(z_radius)
-    if z_radius > P.core_z + 1e-12:
+    if z_radius > P.core_z + BOUNDARY_PAD:
         raise BoundaryUnsoundError("z probe box exceeds the trusted z-core")
     if z_radius < R_threshold:
         raise InsufficientWindowError(
@@ -477,12 +471,7 @@ def fiber_cardinality_profile(P: PointPatch, k_max: int) -> tuple[int, ...]:
     current = P
     for k in range(1, k_max + 1):
         clipped = current.restrict(z_box=P.window_z, q_box=P.window_q)
-        mask = np.ones(clipped.n, dtype=bool)
-        if clipped.dim_z:
-            mask &= np.all(np.abs(clipped.z) <= P.core_z + 1e-12, axis=1)
-        if clipped.dim_q:
-            mask &= np.all(np.abs(clipped.q) <= P.core_q + 1e-12, axis=1)
-        rows = np.flatnonzero(mask)
+        rows = np.flatnonzero(clipped.box_mask(P.core_z, P.core_q))
         if len(rows) == 0:
             raise InsufficientWindowError(f"P^{k} has no points on the base core")
         _, starts = group_rows(clipped.q_key_matrix[rows])

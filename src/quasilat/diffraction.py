@@ -17,9 +17,11 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .cutproject import MATCH_TOL
+from .cutproject import fiber as extract_fiber
 from .errors import DegenerateDensityError, InsufficientWindowError, WindowShortfallError
 from .group import ball_volume, gauge_ball_volume
-from .pointset import QUANT, ExactCoords, PointPatch, _as_block, _quant_keys, group_rows
+from .pointset import BALL_PAD, CORE_PAD, QUANT, SEARCH_PAD, ExactCoords, PointPatch, _as_block, _quant_keys, group_rows
 from .spectral import (
     Character,
     SampledFunction,
@@ -61,7 +63,7 @@ class WeightedPointMeasure:
     def n_atoms(self) -> int:
         return len(self.weights)
 
-    def weight_at(self, z: Sequence[float], q: Sequence[float] = (), tol: float = 1e-9) -> float:
+    def weight_at(self, z: Sequence[float], q: Sequence[float] = (), tol: float = MATCH_TOL) -> float:
         zq = np.asarray(z, dtype=float).reshape(self.dim_z)
         qq = np.asarray(q, dtype=float).reshape(self.dim_q)
         mask = np.all(np.abs(self.z - zq[None, :]) <= tol, axis=1)
@@ -118,12 +120,12 @@ def _flat_autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedPoi
     vol = ball_volume(dz, T)
     tree = cKDTree(P.z)
     norms = np.sqrt(np.sum(P.z * P.z, axis=1))
-    x_idx = np.flatnonzero(norms <= T + 1e-12)
+    x_idx = np.flatnonzero(norms <= T + BALL_PAD)
     key_rows: list[np.ndarray] = []
     for i in x_idx:
-        js = np.asarray(tree.query_ball_point(P.z[i], range_ + 1e-9), dtype=np.int64)
+        js = np.asarray(tree.query_ball_point(P.z[i], range_ + SEARCH_PAD), dtype=np.int64)
         d = P.z[js] - P.z[i][None, :]
-        keep = np.sqrt(np.sum(d * d, axis=1)) <= range_ + 1e-12
+        keep = np.sqrt(np.sum(d * d, axis=1)) <= range_ + BALL_PAD
         key_rows.append(_quant_keys(d[keep]))
     keys = np.concatenate(key_rows, axis=0) if key_rows else np.zeros((0, dz), dtype=np.int64)
     uniq, counts = _aggregate_keys(list(keys.T))
@@ -173,22 +175,22 @@ def _window_autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedP
     width = 2 + 2 * P.dim_q if exact_mode else 1 + P.dim_q
     all_keys = [np.zeros((0, width), dtype=np.int64)]
     all_counts = [np.zeros(0, dtype=np.int64)]
-    for fi in np.flatnonzero(np.sqrt(np.sum(deltas * deltas, axis=1)) <= T + 1e-12):
+    for fi in np.flatnonzero(np.sqrt(np.sum(deltas * deltas, axis=1)) <= T + BALL_PAD):
         xs = np.arange(bounds[fi], bounds[fi + 1])
-        xs = xs[np.abs(zs[xs]) <= t_z + 1e-12]
+        xs = xs[np.abs(zs[xs]) <= t_z + BALL_PAD]
         dq = deltas - deltas[fi]
-        nb = np.flatnonzero(np.sqrt(np.sum(dq * dq, axis=1)) <= range_ + 1e-12)
+        nb = np.flatnonzero(np.sqrt(np.sum(dq * dq, axis=1)) <= range_ + BALL_PAD)
         # One query per (x point, neighbour fiber): its row src in zs and
         # the neighbour's slot in nb.
         src = np.repeat(xs, len(nb))
         slot = np.tile(np.arange(len(nb)), len(xs))
         z1 = zs[src]
         c = g.cocycle.beta(deltas[fi], deltas[nb])[slot, 0]
-        lo = window_edge(nb[slot], z1 + c - w - 1e-9, "left")
-        hi = window_edge(nb[slot], z1 + c + w + 1e-9, "right")
+        lo = window_edge(nb[slot], z1 + c - w - SEARCH_PAD, "left")
+        hi = window_edge(nb[slot], z1 + c + w + SEARCH_PAD, "right")
         rows, cols = _expand_ranges(lo, hi)
         dz = zs[cols] - z1[rows] - c[rows]
-        keep = np.abs(dz) <= w + 1e-12
+        keep = np.abs(dz) <= w + BALL_PAD
         rows, cols, dz = rows[keep], cols[keep], dz[keep]
         j = slot[rows]
         if exact_mode:
@@ -234,7 +236,7 @@ def autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedPointMeas
         raise ValueError("T and range must be positive")
     if P.dim_q == 0:
         need = T + range_
-        if P.core_z + 1e-9 < need:
+        if P.core_z + CORE_PAD < need:
             raise WindowShortfallError(
                 f"averaging to T={T:.6g} with range {range_:.6g} needs core "
                 f"{need:.6g}, patch has {P.core_z:.6g}"
@@ -245,7 +247,7 @@ def autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedPointMeas
         drift = P.group.cocycle.drift_bound
         need_q = T + range_
         need_z = T * T + range_ * range_ + drift * T * range_
-        if P.core_q + 1e-9 < need_q or P.core_z + 1e-9 < need_z:
+        if P.core_q + CORE_PAD < need_q or P.core_z + CORE_PAD < need_z:
             raise WindowShortfallError(
                 f"averaging to T={T:.6g} with range {range_:.6g} needs cores "
                 f"(z={need_z:.6g}, q={need_q:.6g}), patch has "
@@ -261,7 +263,7 @@ def central_autocorrelation(eta: WeightedPointMeasure) -> WeightedPointMeasure:
     if eta.exact is not None:
         mask = np.all(eta.exact.qa == 0, axis=1) & np.all(eta.exact.qb == 0, axis=1)
     else:
-        mask = np.all(np.abs(eta.q) <= 1e-9, axis=1)
+        mask = np.all(np.abs(eta.q) <= MATCH_TOL, axis=1)
     idx = np.flatnonzero(mask)
     exact = None
     if eta.exact is not None:
@@ -292,7 +294,7 @@ def diffraction_atom(eta_e: WeightedPointMeasure, xi: Character, T: float) -> fl
     if eta_e.n_atoms == 0:
         return 0.0
     norms = np.sqrt(np.sum(eta_e.z * eta_e.z, axis=1))
-    if float(norms.max()) > T + 1e-9:
+    if float(norms.max()) > T + CORE_PAD:
         raise InsufficientWindowError(
             f"support reaches {norms.max():.6g}, beyond the Wiener radius {T:.6g}"
         )
@@ -414,11 +416,7 @@ def projection_consistency(
         conj_phase = np.exp(-2j * math.pi * xi.theta[0] * nodes)
         lhs = complex(np.sum(node_w * conj_phase * acc)) / (2 * T)
     # Closed form.
-    if P.dim_q:
-        ident = P.z[np.all(np.abs(P.q) <= 1e-9, axis=1), 0]
-    else:
-        ident = P.z[:, 0]
-    dens = twisted_density(ident.reshape(-1, 1), xi, [T], core=P.core_z)
+    dens = twisted_density(extract_fiber(P, np.zeros(P.dim_q)), xi, [T], core=P.core_z)
     f_xi = complex(
         np.sum(psi_values * np.exp(2j * math.pi * xi.theta[0] * psi_grid)) * spacing
     )

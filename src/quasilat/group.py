@@ -147,11 +147,6 @@ class GroupElement:
     def is_exact(self) -> bool:
         return self.z_exact is not None and self.q_exact is not None
 
-    def key(self) -> tuple:
-        if self.is_exact:
-            return tuple(x.key() for x in self.z_exact) + tuple(x.key() for x in self.q_exact)
-        return tuple(round(v / 1e-9) for v in self.z + self.q)
-
 
 def element_from_ints(z: Sequence[int], q: Sequence[int], d: int = 2) -> GroupElement:
     return GroupElement(

@@ -288,12 +288,7 @@ def dilation_invariance(
         raise ValueError("dilation factor must be nonzero")
     tested_z = P.core_z / max(fz, 1.0)
     tested_q = P.core_q / max(fq, 1.0)
-    mask = np.ones(P.n, dtype=bool)
-    if P.dim_z:
-        mask &= np.all(np.abs(P.z) <= tested_z + 1e-12, axis=1)
-    if P.dim_q:
-        mask &= np.all(np.abs(P.q) <= tested_q + 1e-12, axis=1)
-    idx = np.flatnonzero(mask)
+    idx = np.flatnonzero(P.box_mask(tested_z, tested_q))
     n_tested = len(idx)
     if n_tested == 0:
         return DilationReport(True, None, tested_z, tested_q, 0, mode)

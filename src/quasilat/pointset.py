@@ -21,11 +21,16 @@ from .errors import (
     BoundaryUnsoundError,
     CoefficientOverflowError,
     InsufficientWindowError,
+    check_size,
 )
 from .group import CentralExtensionGroup, GroupElement, _max_abs
 from .ring import COEFF_LIMIT, QuadInt
 
 QUANT = 1e-9  # float coordinates closer than this collapse to one key
+SEARCH_PAD = 1e-9  # widens a search window or a grid count so rounding drops no candidate
+BALL_PAD = 1e-12  # a row or pair at distance <= r + BALL_PAD lies in the closed ball or box
+CORE_PAD = 1e-9  # spectral and diffraction refuse radii beyond core + CORE_PAD
+BOUNDARY_PAD = 1e-12  # probe boxes beyond core + BOUNDARY_PAD raise BoundaryUnsoundError
 _PAIR_GUARD = 2 ** 30  # inputs to exact products stay below this
 
 
@@ -162,11 +167,11 @@ class PointPatch:
         object.__setattr__(self, "q", q)
         for name in ("window_z", "window_q", "core_z", "core_q"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if self.core_z > self.window_z + 1e-12 or self.core_q > self.window_q + 1e-12:
+        if self.core_z > self.window_z + BALL_PAD or self.core_q > self.window_q + BALL_PAD:
             raise ValueError("core box cannot exceed the window box")
-        if z.size and np.abs(z).max() > self.window_z + 1e-9:
+        if z.size and np.abs(z).max() > self.window_z + QUANT:
             raise ValueError("points fall outside the declared z window")
-        if q.size and np.abs(q).max() > self.window_q + 1e-9:
+        if q.size and np.abs(q).max() > self.window_q + QUANT:
             raise ValueError("points fall outside the declared q window")
         if self.exact is not None and self.exact.n != len(z):
             raise ValueError("exact coordinates disagree on point count")
@@ -206,13 +211,17 @@ class PointPatch:
     def __iter__(self) -> Iterator[GroupElement]:
         return (self.element(i) for i in range(self.n))
 
-    def core_mask(self) -> np.ndarray:
+    def box_mask(self, z_box: float, q_box: float) -> np.ndarray:
+        """Rows in the closed sup-norm box |z| <= z_box, |q| <= q_box;
+        an infinite bound leaves its block unchecked."""
         m = np.ones(self.n, dtype=bool)
-        if self.dim_z:
-            m &= np.all(np.abs(self.z) <= self.core_z + 1e-12, axis=1)
-        if self.dim_q:
-            m &= np.all(np.abs(self.q) <= self.core_q + 1e-12, axis=1)
+        for block, bound in ((self.z, z_box), (self.q, q_box)):
+            if block.shape[1] and bound < math.inf:
+                m &= np.all(np.abs(block) <= bound + BALL_PAD, axis=1)
         return m
+
+    def core_mask(self) -> np.ndarray:
+        return self.box_mask(self.core_z, self.core_q)
 
     def take(self, idx: np.ndarray, **overrides) -> "PointPatch":
         exact = self.exact.take(idx) if self.exact is not None else None
@@ -234,13 +243,8 @@ class PointPatch:
         """Clip to a smaller box; windows and cores shrink accordingly."""
         zb = self.window_z if z_box is None else min(float(z_box), self.window_z)
         qb = self.window_q if q_box is None else min(float(q_box), self.window_q)
-        m = np.ones(self.n, dtype=bool)
-        if self.dim_z:
-            m &= np.all(np.abs(self.z) <= zb + 1e-12, axis=1)
-        if self.dim_q:
-            m &= np.all(np.abs(self.q) <= qb + 1e-12, axis=1)
         return self.take(
-            np.flatnonzero(m),
+            np.flatnonzero(self.box_mask(zb, qb)),
             window_z=zb,
             window_q=qb,
             core_z=min(self.core_z, zb),
@@ -338,12 +342,10 @@ def integer_lattice_patch(
     provenance: str = "",
 ) -> PointPatch:
     """All integer points of the window boxes, with exact coordinates."""
-    axes = [_axis_grid(window_z, 1.0)] * group.dim_z + [_axis_grid(window_q, 1.0)] * group.dim_q
+    axes = [_axis(window_z, 1.0)] * group.dim_z + [_axis(window_q, 1.0)] * group.dim_q
     if not axes:
         raise ValueError("group has no coordinates")
-    if int(np.prod([len(a) for a in axes])) > 50_000_000:
-        raise ValueError("lattice window too large")
-    cols = _grid_rows(axes).astype(np.int64)
+    cols = _grid_rows(axes, "lattice").astype(np.int64)
     zc = cols[:, : group.dim_z]
     qc = cols[:, group.dim_z :]
     exact = ExactCoords.from_int_rows(zc, qc)
@@ -399,10 +401,7 @@ def minkowski(p1: PointPatch, p2: PointPatch) -> PointPatch:
         raise ValueError("patches live in different groups")
     g = p1.group
     n, m = p1.n, p2.n
-    if n * m > 50_000_000:
-        raise InsufficientWindowError(
-            f"pairwise product of {n} x {m} points is too large; restrict the patches first"
-        )
+    check_size("product", n * m)
     q = (p1.q[:, None, :] + p2.q[None, :, :]).reshape(n * m, g.dim_q)
     z = (p1.z[:, None, :] + p2.z[None, :, :]).reshape(n * m, g.dim_z)
     if g.dim_q and g.dim_z:
@@ -508,10 +507,7 @@ def min_gap(p: PointPatch) -> float:
         return _flat_min_gap(p.z)
     if g.dim_z == 0:
         return _flat_min_gap(p.q)
-    if p.n > 20_000:
-        raise InsufficientWindowError(
-            "min_gap on mixed patches is quadratic; restrict below 20000 points"
-        )
+    check_size("mixed_gap", p.n)
     return float(_nearest_in_patch(p, p.z, p.q, exclude_self=True)[1].min())
 
 
@@ -528,15 +524,23 @@ class CoveringReport:
     n_probes: int
 
 
-def _axis_grid(radius: float, step: float) -> np.ndarray:
-    """The multiples of step in [-radius, radius]."""
-    k = int(math.floor(radius / step + 1e-9))
-    return np.arange(-k, k + 1, dtype=float) * step
+def _axis(radius: float, step: float) -> tuple[int, int, float]:
+    """(lo, hi, step) for the multiples of step in [-radius, radius]."""
+    k = math.floor(radius / step + SEARCH_PAD)
+    return -k, k, step
 
 
-def _grid_rows(axes: Sequence[np.ndarray]) -> np.ndarray:
-    """Rows of the product grid of the axes, last axis fastest."""
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+def _grid_size(axes: Sequence[tuple[int, int, float]]) -> int:
+    return math.prod(max(hi - lo + 1, 0) for lo, hi, _ in axes)
+
+
+def _grid_rows(axes: Sequence[tuple[int, int, float]], cap: str) -> np.ndarray:
+    """Rows k * step, k = lo..hi, of the product grid of the (lo, hi, step)
+    axes, last axis fastest.  The row count is checked against the size
+    cap before any array exists."""
+    check_size(cap, _grid_size(axes))
+    grids = [np.arange(lo, hi + 1, dtype=float) * step for lo, hi, step in axes]
+    return np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 def covering_radius(
@@ -558,7 +562,7 @@ def covering_radius(
     q_radius = p.core_q if q_radius is None else float(q_radius)
     if min(z_radius, q_radius) < 0:
         raise ValueError("probe radii must be non-negative")
-    if z_radius > p.core_z + 1e-12 or q_radius > p.core_q + 1e-12:
+    if z_radius > p.core_z + BOUNDARY_PAD or q_radius > p.core_q + BOUNDARY_PAD:
         raise BoundaryUnsoundError(
             f"probe box ({z_radius:.6g}, {q_radius:.6g}) exceeds the trusted core "
             f"({p.core_z:.6g}, {p.core_q:.6g})"
@@ -566,13 +570,11 @@ def covering_radius(
     flat = g.dim_q == 0 or g.dim_z == 0
     # Mixed case: z probes step h^2 so the gauge offset stays O(h).
     hz = h if flat else h * h
-    axes = [_axis_grid(z_radius, hz)] * g.dim_z + [_axis_grid(q_radius, h)] * g.dim_q
-    n_probes = int(np.prod([len(a) for a in axes]))
-    if n_probes > 5_000_000:
-        raise ValueError("probe grid too fine; increase h")
-    if not flat and n_probes * p.n > 200_000_000:
-        raise ValueError("mixed probe grid too fine for this patch; increase h")
-    probes = _grid_rows(axes)
+    axes = [_axis(z_radius, hz)] * g.dim_z + [_axis(q_radius, h)] * g.dim_q
+    n_probes = _grid_size(axes)
+    if not flat:
+        check_size("mixed_probes", n_probes * p.n)
+    probes = _grid_rows(axes, "probes")
     grid_max = float(_nearest_in_patch(p, probes[:, : g.dim_z], probes[:, g.dim_z :])[1].max())
     if flat:
         slack = h * math.sqrt(g.dim_z or g.dim_q) / 2.0
@@ -700,8 +702,8 @@ def approximate_group_cover(p: PointPatch, cluster_radius: float = 1e-6) -> Cove
     prod = minkowski(p, p).restrict(z_box=p.core_z, q_box=p.core_q)
     if prod.n == 0:
         raise InsufficientWindowError("no product points on the core")
-    if g.dim_q and g.dim_z and prod.n * p.n > 200_000_000:
-        raise InsufficientWindowError("nearest-point search too large; restrict the patch")
+    if g.dim_q and g.dim_z:
+        check_size("cover_search", prod.n * p.n)
     idx, dist = _nearest_in_patch(p, prod.z, prod.q)
     max_window_gauge = max(p.window_q, math.sqrt(p.window_z * max(p.dim_z, 1)))
     if float(dist.max()) > 2.0 * max_window_gauge:

@@ -65,10 +65,6 @@ class QuadInt:
         _guard(self.a)
         _guard(self.b)
 
-    @classmethod
-    def from_int(cls, n: int, d: int = 2) -> "QuadInt":
-        return cls(n, 0, d)
-
     def _check(self, other: "QuadInt") -> None:
         if self.d != other.d:
             raise RadicandMismatchError(

@@ -23,8 +23,8 @@ from scipy.spatial import cKDTree
 from .cutproject import fiber as extract_fiber
 from .cutproject import project
 from .errors import DegenerateBallError, InsufficientWindowError
-from .group import Cocycle, GroupElement, ball_volume
-from .pointset import PointPatch, _axis_grid, _grid_rows, _quant_keys, group_rows, translate
+from .group import Cocycle, GroupElement, abelian_group, ball_volume
+from .pointset import BALL_PAD, CORE_PAD, PointPatch, _axis, _grid_rows, _quant_keys, group_rows, make_patch, translate
 
 CONVERGENCE_ABS = 1e-3
 CONVERGENCE_REL = 0.05
@@ -152,7 +152,7 @@ def _twisted_densities(
     norms = np.sqrt(np.sum(z * z, axis=1))
     if core is None:
         core = float(norms.max()) if len(norms) else 0.0
-    if schedule[-1] > core + 1e-9:
+    if schedule[-1] > core + CORE_PAD:
         raise InsufficientWindowError(
             f"schedule reaches T={schedule[-1]:.6g} but the fiber is only "
             f"complete to radius {core:.6g}"
@@ -160,7 +160,7 @@ def _twisted_densities(
     m = z.shape[1]
     order = np.lexsort(tuple(z[:, k] for k in range(m - 1, -1, -1)) + (norms,))
     z_sorted = z[order]
-    cuts = np.searchsorted(norms[order], np.array(schedule) + 1e-12, side="right")
+    cuts = np.searchsorted(norms[order], np.array(schedule) + BALL_PAD, side="right")
     vols = [ball_volume(m, T) for T in schedule]
     start = min((3 * len(schedule)) // 4, len(schedule) - 1)
     out = []
@@ -230,12 +230,12 @@ def palm_profile(
     if T <= 0:
         raise DegenerateBallError(f"averaging radius T={T:.6g} must be positive")
     if P.dim_q == 0:
-        if T > P.core_z + 1e-9:
+        if T > P.core_z + CORE_PAD:
             raise InsufficientWindowError(
                 f"T={T:.6g} exceeds the trusted z-core {P.core_z:.6g}"
             )
         norms = np.sqrt(np.sum(P.z * P.z, axis=1))
-        zm = P.z[norms <= T + 1e-12]
+        zm = P.z[norms <= T + BALL_PAD]
         vol = ball_volume(P.dim_z, T)
         out = np.empty(len(thetas))
         block = _theta_block(len(zm))
@@ -251,21 +251,21 @@ def palm_profile(
         raise DegenerateBallError(
             f"Palm radius S={S:.6g} must be positive on a fibered patch"
         )
-    if S > P.core_q + 1e-9:
+    if S > P.core_q + CORE_PAD:
         raise InsufficientWindowError(
             f"S={S:.6g} exceeds the trusted q-core {P.core_q:.6g}"
         )
-    if T > P.core_z + 1e-9:
+    if T > P.core_z + CORE_PAD:
         raise InsufficientWindowError(
             f"T={T:.6g} exceeds the trusted z-core {P.core_z:.6g}"
         )
     order, bounds = fiber_partition(P)
     z_sorted = P.z[order]
     znorm = np.sqrt(np.sum(z_sorted * z_sorted, axis=1))
-    zmask = znorm <= T + 1e-12
+    zmask = znorm <= T + BALL_PAD
     heads = order[bounds[:-1]] if len(bounds) > 1 else np.zeros(0, dtype=np.int64)
     delta_norms = np.sqrt(np.sum(P.q[heads] * P.q[heads], axis=1))
-    fiber_sel = delta_norms <= S + 1e-12
+    fiber_sel = delta_norms <= S + BALL_PAD
     vol_z = ball_volume(P.dim_z, T)
     vol_q = ball_volume(P.dim_q, S)
     starts = bounds[:-1]
@@ -351,17 +351,11 @@ class SplitLatticeData:
 def split_data(P: PointPatch, xi: Character, T: float) -> SplitLatticeData:
     """Extract split-lattice data from a patch (all fibers translates)."""
     ident = extract_fiber(P, np.zeros(P.dim_q))
-    dens = twisted_density(ident.reshape(-1, P.dim_z), xi, [T], core=P.core_z)
-    xi_patch = P.take(
-        np.flatnonzero(np.all(np.abs(P.q) <= 1e-9, axis=1) if P.dim_q else np.ones(P.n, bool))
-    )
-    from .group import abelian_group
-    from .pointset import make_patch
-
+    dens = twisted_density(ident, xi, [T], core=P.core_z)
     Xi = make_patch(
         group=abelian_group(P.dim_z, 0),
-        z=xi_patch.z,
-        q=np.zeros((xi_patch.n, 0)),
+        z=ident,
+        q=np.zeros((len(ident), 0)),
         window_z=P.window_z,
         window_q=0.0,
         core_z=P.core_z,
@@ -385,7 +379,7 @@ def twisted_periodization(
     """
     q = np.asarray(at.q, dtype=float)
     z = np.asarray(at.z, dtype=float)
-    if q.size and float(np.abs(q).max()) + phi.support_radius > split.Delta.core_z + 1e-9:
+    if q.size and float(np.abs(q).max()) + phi.support_radius > split.Delta.core_z + CORE_PAD:
         raise InsufficientWindowError(
             "phi support shifted by q escapes the Delta core"
         )
@@ -401,10 +395,7 @@ def twisted_periodization(
 
 def _frequency_grid(K: float, h: float, dim: int = 1) -> np.ndarray:
     """Rows of the grid h*Z^dim inside [-K, K]^dim, last coordinate fastest."""
-    axis = _axis_grid(K, h)
-    if len(axis) ** dim > 40_000_000:
-        raise ValueError("frequency grid too fine; increase h")
-    return _grid_rows([axis] * dim)
+    return _grid_rows([_axis(K, h)] * dim, "frequencies")
 
 
 def _max_gap(picked: np.ndarray, grid: np.ndarray) -> float:
@@ -492,20 +483,20 @@ def sandwich_check(
     """
     if Xi.dim_q or Xi.dim_z != 1:
         raise ValueError("sandwich_check expects a one dimensional flat patch")
-    if Xi.core_z + 1e-9 < T + 2 * T_K:
+    if Xi.core_z + CORE_PAD < T + 2 * T_K:
         raise InsufficientWindowError(
             f"need the patch complete to {T + 2 * T_K:.6g}, core is {Xi.core_z:.6g}"
         )
     zs = Xi.z[:, 0]
-    count_inner = int(np.count_nonzero(np.abs(zs) <= T + 1e-12))
-    count_outer = int(np.count_nonzero(np.abs(zs) <= T + 2 * T_K + 1e-12))
+    count_inner = int(np.count_nonzero(np.abs(zs) <= T + BALL_PAD))
+    count_outer = int(np.count_nonzero(np.abs(zs) <= T + 2 * T_K + BALL_PAD))
     R = T + T_K
     n_steps = int(round(2 * R / h))
     nodes = -R + (2 * R / n_steps) * np.arange(n_steps + 1)
     step = 2 * R / n_steps
     heights = np.zeros(len(nodes))
     coef = 15.0 / (16.0 * T_K)
-    for x in zs[np.abs(zs) <= T + 2 * T_K + 1e-12]:
+    for x in zs[np.abs(zs) <= T + 2 * T_K + BALL_PAD]:
         lo = np.searchsorted(nodes, x - T_K)
         hi = np.searchsorted(nodes, x + T_K, side="right")
         u = (nodes[lo:hi] - x) / T_K

@@ -172,7 +172,7 @@ def test_spectrum_csv_contents(tmp_path, capsys):
     (["--scheme", "heisenberg", "--T", "10", "--T-q", "2"], 9.0),
 ])
 def test_spectrum_rows_equal_twisted_density(tmp_path, capsys, gen, T):
-    from quasilat.cli import _fmt, _identity_fiber
+    from quasilat.cli import _fmt
 
     patch = tmp_path / "p.json"
     csv = tmp_path / "spectrum.csv"
@@ -185,7 +185,7 @@ def test_spectrum_rows_equal_twisted_density(tmp_path, capsys, gen, T):
     grid = sp._frequency_grid(0.5, 0.01)[:, 0]
     assert len(rows) == len(grid) == 101
     for row, theta in zip(rows, grid):
-        est = sp.twisted_density(_identity_fiber(P), sp.character(theta),
+        est = sp.twisted_density(ql.fiber(P, np.zeros(P.dim_q)), sp.character(theta),
                                  sp.default_schedule(T), core=P.core_z)
         want = [theta, est.value.real, est.value.imag, abs(est.value) ** 2]
         fields = row.split(",")
@@ -361,3 +361,12 @@ def test_spectrum_and_bragg_refuse_a_zero_palm_radius_on_fibers(tmp_path, capsys
     code, out, err = run(capsys, "bragg", "--in", patch, "--eps", "0.5", "--K", "0.5",
                          "--h", "0.01", "--T", "9", "-o", str(tmp_path / "b.csv"))
     assert code == 1 and "S=0" in err and "inf" not in out
+
+
+def test_size_caps_exit_one_without_writing(tmp_path, capsys):
+    big = tmp_path / "big.json"
+    code, out, err = run(capsys, "generate", "--scheme", "lattice", "--dim", "3",
+                         "--T", "400", "-o", str(big))
+    assert code == 1 and out == "" and not big.exists()
+    assert err == ("error: lattice window too large: 513922401 exceeds the cap of 50000000; "
+                   "shrink the window\n")

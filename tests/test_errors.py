@@ -1,0 +1,106 @@
+"""The error hierarchy and the size caps."""
+
+import inspect
+import math
+import tracemalloc
+
+import pytest
+
+import quasilat as ql
+import quasilat.diffraction as df
+import quasilat.spectral as sp
+from quasilat import errors
+from quasilat.errors import SIZE_CAPS, QuasilatError, SizeLimitError
+
+A1 = ql.abelian_group(1)
+H3 = ql.heisenberg_group()
+
+
+def test_every_error_class_is_exported():
+    classes = [c for _, c in inspect.getmembers(errors, inspect.isclass) if c.__module__ == errors.__name__]
+    assert len(classes) == 10
+    for cls in classes:
+        assert getattr(ql, cls.__name__) is cls
+        assert issubclass(cls, QuasilatError)
+
+
+def axis_count(radius, step):
+    return 2 * math.floor(radius / step + 1e-9) + 1
+
+
+# Each case builds its inputs and returns the refused call and the count it
+# asks for.  The cover_search cap is left out: a symmetric patch whose
+# product passes the pairwise-product cap cannot reach it without building
+# tens of millions of products first.
+def lattice_window():
+    return lambda: ql.integer_lattice_patch(A1, 1e8), axis_count(1e8, 1.0)
+
+
+def pairwise_product():
+    L = ql.integer_lattice_patch(A1, 3536.0)
+    return lambda: ql.minkowski(L, L), L.n * L.n
+
+
+def condition_triples():
+    Xi = ql.integer_lattice_patch(A1, 10.0)
+    Delta = ql.integer_lattice_patch(ql.abelian_group(2), 10.0)
+    return lambda: ql.check_symplectic_condition(Xi, Delta, H3.cocycle, 2), Delta.n ** 3
+
+
+def coefficient_box():
+    scheme = ql.matrix_scheme([[1.0, 1.0], [1.0, -1.0]], 1, [(-1.0, 1.0)])
+    # Coefficients (x + y)/2 and (x - y)/2 reach +-5000, padded by one unit.
+    return lambda: ql.generate_model_set(scheme, 9999.0), 10003 ** 2
+
+
+def frequency_grid():
+    return lambda: sp._frequency_grid(0.5, 1e-8), axis_count(0.5, 1e-8)
+
+
+def bragg_grid():
+    Z = ql.integer_lattice_patch(A1, 30.0)
+    return lambda: df.bragg_scan(Z, 0.5, 0.5, 1e-10, 0.0, 5.0), axis_count(0.5, 1e-10)
+
+
+def probe_grid():
+    Z = ql.integer_lattice_patch(A1, 30.0)
+    return lambda: ql.covering_radius(Z, h=2e-6), axis_count(30.0, 2e-6)
+
+
+def mixed_probe_grid():
+    P = ql.integer_lattice_patch(H3, 4.0, 4.0)
+    probes = axis_count(4.0, 0.12 * 0.12) * axis_count(4.0, 0.12) ** 2
+    assert probes <= SIZE_CAPS["probes"][0]
+    return lambda: ql.covering_radius(P, h=0.12), probes * P.n
+
+
+def mixed_min_gap():
+    P = ql.integer_lattice_patch(H3, 2.0, 32.0)
+    return lambda: ql.min_gap(P), P.n
+
+
+@pytest.mark.parametrize("cap, limit, case", [
+    ("lattice", 50_000_000, lattice_window),
+    ("product", 50_000_000, pairwise_product),
+    ("triples", 50_000_000, condition_triples),
+    ("coefficients", 20_000_000, coefficient_box),
+    ("frequencies", 40_000_000, frequency_grid),
+    ("frequencies", 40_000_000, bragg_grid),
+    ("probes", 5_000_000, probe_grid),
+    ("mixed_probes", 200_000_000, mixed_probe_grid),
+    ("mixed_gap", 20_000, mixed_min_gap),
+], ids=lambda v: v.__name__ if callable(v) else str(v))
+def test_size_caps_refuse_before_allocating(cap, limit, case):
+    call, count = case()
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError) as exc:
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(exc.value, QuasilatError) and isinstance(exc.value, ValueError)
+    assert str(exc.value).startswith(SIZE_CAPS[cap][1])
+    assert f"{count} exceeds the cap of {limit}" in str(exc.value)
+    assert peak < 10 * 2**20
+

@@ -80,6 +80,30 @@ def test_take_and_restrict():
     assert sub.n == 10 and sub.core_z == 1.0 and sub.core_q == 0.5
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_box_mask_matches_a_per_coordinate_comparison(data):
+    dim_z, dim_q = data.draw(st.sampled_from([(1, 0), (0, 1), (1, 2), (2, 1), (2, 2)]))
+    z_box = data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.5, math.inf]))
+    q_box = data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.5, math.inf]))
+
+    def coord(b):
+        # On the boundary, one pad inside or outside it, or anywhere.
+        edges = [0.0] if b == math.inf else [b, b - 1e-12, b + 1e-12, b + 2e-12]
+        return st.sampled_from(edges + [-e for e in edges]) | st.floats(-3.0, 3.0)
+
+    n = data.draw(st.integers(0, 8))
+    z = [[data.draw(coord(z_box)) for _ in range(dim_z)] for _ in range(n)]
+    q = [[data.draw(coord(q_box)) for _ in range(dim_q)] for _ in range(n)]
+    G = ql.CentralExtensionGroup(ql.abelian_cocycle(dim_z, dim_q))
+    P = ql.PointPatch(group=G, z=np.array(z, dtype=float).reshape(n, dim_z),
+                      q=np.array(q, dtype=float).reshape(n, dim_q),
+                      window_z=4.0, window_q=4.0, core_z=0.0, core_q=0.0)
+    want = [all(abs(v) <= z_box + 1e-12 for v in zr) and all(abs(v) <= q_box + 1e-12 for v in qr)
+            for zr, qr in zip(z, q)]
+    assert P.box_mask(z_box, q_box).tolist() == want
+
+
 def test_exact_keys_match_floats():
     t = ql.model_set_1d(1, 30.0)
     assert t.exact is not None
