@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -246,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _require_positive(parser: argparse.ArgumentParser, **named: Optional[float]) -> None:
     for name, value in named.items():
-        if value is not None and not value > 0:
-            parser.error(f"argument --{name}: must be positive, got {value:g}")
+        if value is not None and not 0 < value < math.inf:
+            parser.error(f"argument --{name}: must be positive and finite, got {value:g}")
 
 
 def _cmd_generate(args, parser) -> int:

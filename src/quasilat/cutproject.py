@@ -437,7 +437,7 @@ def enforce_uniform_fibers(P: PointPatch, R: float, h: float = 0.01) -> PointPat
     """
     if not _is_symmetric_with_identity(P):
         raise ValueError("patch must be symmetric and contain the identity")
-    square = minkowski(P, P).restrict(z_box=P.window_z, q_box=P.window_q)
+    square = minkowski(P, P, P.window_z, P.window_q)
     square = square.take(
         np.arange(square.n), core_z=min(P.core_z, square.window_z),
         core_q=min(P.core_q, square.window_q),
@@ -468,14 +468,13 @@ def fiber_cardinality_profile(P: PointPatch, k_max: int) -> tuple[int, ...]:
     if P.n == 0:
         raise InsufficientWindowError("empty patch")
     out: list[int] = []
-    current = P
+    current = P.restrict(z_box=P.window_z, q_box=P.window_q)
     for k in range(1, k_max + 1):
-        clipped = current.restrict(z_box=P.window_z, q_box=P.window_q)
-        rows = np.flatnonzero(clipped.box_mask(P.core_z, P.core_q))
+        rows = np.flatnonzero(current.box_mask(P.core_z, P.core_q))
         if len(rows) == 0:
             raise InsufficientWindowError(f"P^{k} has no points on the base core")
-        _, starts = group_rows(clipped.q_key_matrix[rows])
+        _, starts = group_rows(current.q_key_matrix[rows])
         out.append(int(np.diff(np.append(starts, len(rows))).max()))
         if k < k_max:
-            current = minkowski(clipped, P)
+            current = minkowski(current, P, P.window_z, P.window_q)
     return tuple(out)

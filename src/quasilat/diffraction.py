@@ -21,7 +21,10 @@ from .cutproject import MATCH_TOL
 from .cutproject import fiber as extract_fiber
 from .errors import DegenerateDensityError, InsufficientWindowError, WindowShortfallError
 from .group import ball_volume, gauge_ball_volume
-from .pointset import BALL_PAD, CORE_PAD, QUANT, SEARCH_PAD, ExactCoords, PointPatch, _as_block, _quant_keys, group_rows
+from .pointset import (
+    BALL_PAD, CORE_PAD, QUANT, SEARCH_PAD, ExactCoords, PointPatch,
+    _as_block, _expand_ranges, _fiber_index, _mixed_radix, _quant_keys, group_rows,
+)
 from .spectral import (
     Character,
     SampledFunction,
@@ -73,36 +76,19 @@ class WeightedPointMeasure:
         return float(self.weights[idx].sum()) if len(idx) else 0.0
 
 
-def _expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices (repeated) and flat column indices for slices
-    [lo[i], hi[i]) of a sorted array."""
-    counts = hi - lo
-    rows = np.repeat(np.arange(len(lo), dtype=np.int64), counts)
-    offsets = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-    cols = np.repeat(lo, counts) + offsets
-    return rows, cols
-
-
 def _aggregate_keys(
     cols: Sequence[np.ndarray], counts: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sum counts (one per row when omitted) over equal rows of the integer
     key columns; returns (unique rows in lexicographic order, summed counts)."""
-    # initial=0 only widens a range, and lets empty columns through.
-    lo = [int(col.min(initial=0)) for col in cols]
-    spans = [int(col.max(initial=0)) - b + 1 for col, b in zip(cols, lo)]
-    if math.prod(spans) > 2**62:
+    radix = _mixed_radix(cols)
+    if radix is None:
         keys = np.column_stack(cols)
         order, starts = group_rows(keys)
         counts = np.ones(len(keys), dtype=np.int64) if counts is None else counts
         return keys[order[starts]], np.add.reduceat(counts[order], starts)
-    # Mixed-radix packing keeps the lexicographic order, and one int64
-    # column sorts many times faster than a lexsort of all of them.
-    packed = np.zeros(len(cols[0]), dtype=np.int64)
-    for col, b, span in zip(cols, lo, spans):
-        packed *= span
-        packed += col
-        packed -= b
+    # np.unique needs no stable order, so it sorts the packed keys faster still.
+    packed, lo, spans = radix
     if counts is None:
         packed, summed = np.unique(packed, return_counts=True)
     else:
@@ -152,19 +138,9 @@ def _window_autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedP
     vol = gauge_ball_volume(1, P.dim_q, T)
     # The gauge is |z| on a flat patch and max(|q|, sqrt|z|) on a mixed one.
     t_z, w = (T, range_) if P.dim_q == 0 else (T * T, range_ * range_)
-    order, starts = group_rows(P.q_key_matrix, (P.z[:, 0],))
+    order, starts, window_edge = _fiber_index(P.q_key_matrix, P.z[:, 0])
     bounds = np.append(starts, n)
     zs = P.z[order, 0]
-    # Fiber-major integer keys, z-rank inside: a search in fiber j for a
-    # value v is exact, with no float offset between fibers.
-    by_z = np.argsort(zs, kind="stable")
-    rank = np.argsort(by_z)
-    seg_key = np.repeat(np.arange(len(starts), dtype=np.int64) * n, np.diff(bounds)) + rank
-    z_sorted = zs[by_z]
-
-    def window_edge(fj: np.ndarray, v: np.ndarray, side: str) -> np.ndarray:
-        return np.searchsorted(seg_key, fj * n + np.searchsorted(z_sorted, v, side=side))
-
     heads = order[starts]
     deltas = P.q[heads]
     exact_mode = P.exact is not None and g.cocycle.is_integral

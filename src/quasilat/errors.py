@@ -6,7 +6,7 @@ exit code 1 and genuine usage mistakes to exit code 2.
 A request too big to compute raises SizeLimitError, which is also a
 ValueError; a window too small to answer a question raises
 InsufficientWindowError.  SIZE_CAPS is the one table of caps, a row per
-computation it bounds (lattice windows, Minkowski pairs, condition
+computation it bounds (lattice windows, candidate Minkowski pairs, condition
 triples, coefficient boxes, frequency and probe grids, mixed min_gap,
 the cover search), and check_size tests a count against it.  Callers
 form the count from Python ints before any array of that size exists.

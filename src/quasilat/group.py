@@ -110,7 +110,10 @@ class Cocycle:
             raise CoefficientOverflowError("exact cocycle products would exceed the safe limit")
 
         def form(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-            return np.einsum("kij,...i,...j->...k", M, x, y)
+            # Coordinates first puts the rows on einsum's inner loop, which
+            # is several times faster; integer sums do not depend on order.
+            x, y = (np.ascontiguousarray(np.moveaxis(a, -1, 0)) for a in (x, y))
+            return np.einsum("kij,i...,j...->...k", M, x, y)
 
         # (a1 + b1 rt)(a2 + b2 rt) = (a1 a2 + d b1 b2) + (a1 b2 + b1 a2) rt
         return form(va, wa) + d * form(vb, wb), form(va, wb) + form(vb, wa)

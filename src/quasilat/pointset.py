@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
@@ -72,6 +73,11 @@ class ExactCoords:
     def n(self) -> int:
         return len(self.za)
 
+    @classmethod
+    def concat(cls, parts: Sequence["ExactCoords"]) -> "ExactCoords":
+        fields = ("za", "zb", "qa", "qb")
+        return cls(*(np.concatenate([getattr(e, f) for e in parts]) for f in fields), d=parts[0].d)
+
     def take(self, idx: np.ndarray) -> "ExactCoords":
         return ExactCoords(self.za[idx], self.zb[idx], self.qa[idx], self.qb[idx], self.d)
 
@@ -117,17 +123,71 @@ def _key_matrix(z: np.ndarray, q: np.ndarray, exact: Optional[ExactCoords]) -> n
     return exact.key_matrix() if exact is not None else _quant_keys(np.hstack([z, q]))
 
 
+def _mixed_radix(cols: Sequence[np.ndarray]) -> Optional[tuple[np.ndarray, list[int], list[int]]]:
+    """(packed, lows, spans): one int64 column ordered like the rows of the
+    integer key columns, column 0 most significant, or None when their
+    value spans do not fit in int64."""
+    # initial=0 only widens a range, and lets empty columns through.
+    lows = [int(col.min(initial=0)) for col in cols]
+    spans = [int(col.max(initial=0)) - b + 1 for col, b in zip(cols, lows)]
+    if math.prod(spans) > 2**62:
+        return None
+    packed = np.zeros(len(cols[0]), dtype=np.int64)
+    for col, b, span in zip(cols, lows, spans):
+        packed *= span
+        packed += col
+        packed -= b
+    return packed, lows, spans
+
+
 def group_rows(keys: np.ndarray, tiebreak: Sequence[np.ndarray] = ()) -> tuple[np.ndarray, np.ndarray]:
     """Sort integer key rows (column 0 primary, then later columns, then
-    the tiebreak columns in the order given) and return (order, starts):
-    keys[order] splits into runs of equal rows beginning at starts."""
-    cols = tuple(reversed(tiebreak)) + tuple(keys[:, c] for c in range(keys.shape[1] - 1, -1, -1))
+    the tiebreak columns in the order given, then row index) and return
+    (order, starts): keys[order] splits into runs of equal rows beginning
+    at starts."""
+    key_cols = list(keys.T)
+    packed = _mixed_radix(key_cols) if key_cols else None
+    if packed is not None:
+        key_cols = [packed[0]]  # one column sorts faster than several
+    cols = tuple(reversed(tiebreak)) + tuple(reversed(key_cols))
     order = np.lexsort(cols) if cols else np.arange(len(keys))
     new = np.arange(len(keys)) == 0
-    for col in keys.T:
+    for col in key_cols:
         ks = col[order]
         new[1:] |= ks[1:] != ks[:-1]
     return order, np.flatnonzero(new)
+
+
+def _fiber_index(q_keys: np.ndarray, z0: np.ndarray):
+    """Rows grouped into fibers of equal q-key, ascending in z0 inside
+    each.  Returns (order, starts, edge): fiber j is order[starts[j]:
+    starts[j + 1]], and edge(j, v, side) is the position in order where v
+    would enter fiber j, with np.searchsorted's side semantics, for
+    arrays j and v.  The search runs on one integer key, fiber-major with
+    the global z0 rank inside, so it is exact and no float offset
+    separates fibers."""
+    n = len(z0)
+    order, starts = group_rows(q_keys, (z0,))
+    zs = z0[order]
+    by_z = np.argsort(zs, kind="stable")
+    rank = np.argsort(by_z)
+    seg_key = np.repeat(np.arange(len(starts), dtype=np.int64) * n, np.diff(np.append(starts, n))) + rank
+    z_sorted = zs[by_z]
+
+    def edge(fj: np.ndarray, v: np.ndarray, side: str) -> np.ndarray:
+        return np.searchsorted(seg_key, fj * n + np.searchsorted(z_sorted, v, side=side))
+
+    return order, starts, edge
+
+
+def _expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices (repeated) and flat column indices for slices
+    [lo[i], hi[i]) of a sorted array."""
+    counts = hi - lo
+    rows = np.repeat(np.arange(len(lo), dtype=np.int64), counts)
+    offsets = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+    cols = np.repeat(lo, counts) + offsets
+    return rows, cols
 
 
 def _as_block(arr, width: int) -> np.ndarray:
@@ -265,6 +325,22 @@ def _canonical_perm(z: np.ndarray, q: np.ndarray, keys: np.ndarray) -> np.ndarra
     return np.lexsort(tuple(cols))
 
 
+def _key_survivors(z: np.ndarray, q: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """One row per distinct key: its lowest row in (q, z) order, earliest
+    on ties, which is the row a canonical sort would put first.  The
+    survivor of a union of row sets is the survivor of their survivors."""
+    # Per-run minima cost less than adding the floats to the sort.
+    order, starts = group_rows(keys)
+    sizes = np.diff(np.append(starts, len(order)))
+    best = np.ones(len(order), dtype=bool)
+    for col in tuple(q.T) + tuple(z.T):
+        vals = col[order]
+        vals[~best] = np.inf
+        best &= vals == np.repeat(np.minimum.reduceat(vals, starts), sizes)
+    rows = np.flatnonzero(best)
+    return order[rows[np.searchsorted(rows, starts)]]
+
+
 def make_patch(
     group: CentralExtensionGroup,
     z: np.ndarray,
@@ -282,18 +358,7 @@ def make_patch(
     q = _as_block(q, group.dim_q)
     if len(z):
         keys = _key_matrix(z, q, exact)
-        # One survivor per key: its lowest row in (q, z) order, earliest on
-        # ties, which is the row a canonical sort would put first.  Picking
-        # it by per-run minima costs less than adding the floats to the sort.
-        order, starts = group_rows(keys)
-        sizes = np.diff(np.append(starts, len(order)))
-        best = np.ones(len(order), dtype=bool)
-        for col in tuple(q.T) + tuple(z.T):
-            vals = col[order]
-            vals[~best] = np.inf
-            best &= vals == np.repeat(np.minimum.reduceat(vals, starts), sizes)
-        rows = np.flatnonzero(best)
-        keep = order[rows[np.searchsorted(rows, starts)]]
+        keep = _key_survivors(z, q, keys)
         perm = keep[_canonical_perm(z[keep], q[keep], keys[keep])]
         z = z[perm]
         q = q[perm]
@@ -360,65 +425,152 @@ def integer_lattice_patch(
     )
 
 
-def _exact_pair_product(p1: PointPatch, p2: PointPatch) -> Optional[ExactCoords]:
-    """Exact coordinates of all pairwise products x*y, or None when the
-    inputs cannot support them."""
-    e1, e2 = p1.exact, p2.exact
-    if e1 is None or e2 is None or e1.d != e2.d:
-        return None
-    cocycle = p1.group.cocycle
-    if not cocycle.is_integral:
-        return None
-    if max(e1.max_abs(), e2.max_abs()) > _PAIR_GUARD:
-        raise CoefficientOverflowError("exact coordinates too large for pairwise products")
-    n, m = e1.n, e2.n
+def _beta_rows(cocycle, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """cocycle.beta(v[r], w[r]) for (n, dim_q) row arrays, with the bits
+    the all-pairs form cocycle.beta(v[:, None], w[None]) gives those
+    pairs.  Coordinates first puts the rows on einsum's inner loop, which
+    is several times faster, and each row still sums its terms in (i, j)
+    order."""
+    return np.einsum("kij,i...,j...->...k", cocycle.stack, np.ascontiguousarray(v.T), np.ascontiguousarray(w.T))
 
-    def pair_sums(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
-        return (a1[:, None, :] + a2[None, :, :]).reshape(n * m, a1.shape[1])
 
-    za, zb, qa, qb = (pair_sums(getattr(e1, f), getattr(e2, f)) for f in ("za", "zb", "qa", "qb"))
-    if p1.dim_q and p1.dim_z:
-        beta_a, beta_b = cocycle.beta_exact(
-            e1.qa[:, None, :], e1.qb[:, None, :], e2.qa[None, :, :], e2.qb[None, :, :], e1.d
-        )
-        za = za + beta_a.reshape(n * m, p1.dim_z)
-        zb = zb + beta_b.reshape(n * m, p1.dim_z)
-    out = ExactCoords(za=za, zb=zb, qa=qa, qb=qb, d=e1.d)
-    if out.max_abs() > COEFF_LIMIT:
+def _pair_products(
+    p1: PointPatch, p2: PointPatch, x: np.ndarray, y: np.ndarray, exact_keys: bool
+) -> tuple[np.ndarray, np.ndarray, Optional[ExactCoords]]:
+    """z, q and, with exact_keys, exact coordinates of the products
+    p1[x] * p2[y]."""
+    g = p1.group
+    mixed = g.dim_q and g.dim_z
+
+    def rows(arrays, idx):
+        # np.take gathers short rows far faster than indexing, but is slow
+        # on zero-width blocks, which have nothing to gather.
+        return [np.take(a, idx, axis=0) if a.shape[1] else np.empty((len(idx), 0), a.dtype) for a in arrays]
+
+    (z1, q1), (z2, q2) = rows((p1.z, p1.q), x), rows((p2.z, p2.q), y)
+    z = z1 + z2
+    if mixed:
+        z = z + _beta_rows(g.cocycle, q1, q2)
+    if not exact_keys:
+        return z, q1 + q2, None
+    fields = ("za", "zb", "qa", "qb")
+    za1, zb1, qa1, qb1 = rows([getattr(p1.exact, f) for f in fields], x)
+    za2, zb2, qa2, qb2 = rows([getattr(p2.exact, f) for f in fields], y)
+    za, zb = za1 + za2, zb1 + zb2
+    if mixed:
+        beta_a, beta_b = g.cocycle.beta_exact(qa1, qb1, qa2, qb2, p1.exact.d)
+        za = za + beta_a
+        zb = zb + beta_b
+    exact = ExactCoords(za=za, zb=zb, qa=qa1 + qa2, qb=qb1 + qb2, d=p1.exact.d)
+    if exact.max_abs() > COEFF_LIMIT:
         raise CoefficientOverflowError("product coordinates exceed the safe limit")
-    return out
+    return z, q1 + q2, exact
 
 
-def minkowski(p1: PointPatch, p2: PointPatch) -> PointPatch:
-    """Pointwise product set {x*y : x in p1, y in p2}.
+_SEARCH_BLOCK = 1 << 18  # (p1 row, p2 fiber) tests per block of the candidate search
+_PAIR_CHUNK = 1 << 16  # candidate pairs formed and deduplicated at a time
+
+
+def _candidate_ranges(p1: PointPatch, p2: PointPatch, z_box: float, q_box: float):
+    """Candidate pairs of p1 x p2 for products in the closed box |z_0| <=
+    z_box, |q| <= q_box, as (order, pieces): each piece (x, lo, hi) of
+    about _PAIR_CHUNK pairs matches row x[i] of p1 with the rows
+    order[lo[i]:hi[i]] of p2.
+
+    p2 is cut into q-fibers sorted by z_0.  A row x meets fiber j (head
+    delta_j) when |q_x + delta_j| fits the q box, and then the z window
+    |z_x + z_y + beta(q_x, delta_j)| <= z_box is one sorted search.  Rows
+    of p1 are searched in blocks, so no array reaches n * m before the
+    pairs are formed."""
+    g = p1.group
+    z0 = p2.z[:, 0] if g.dim_z else np.zeros(p2.n)
+    order, starts, edge = _fiber_index(p2.q_key_matrix, z0)
+    deltas = p2.q[order[starts]]
+    step = max(1, _SEARCH_BLOCK // max(len(starts), 1))
+
+    def pieces():
+        for i0 in range(0, p1.n, step):
+            qx = p1.q[i0 : i0 + step]
+            xi, fj = np.nonzero(np.all(np.abs(qx[:, None, :] + deltas[None, :, :]) <= q_box, axis=2))
+            x = i0 + xi
+            z1 = p1.z[x, 0] + _beta_rows(g.cocycle, qx[xi], deltas[fj])[:, 0] if g.dim_z else np.zeros(len(x))
+            lo = edge(fj, -z_box - z1, "left")
+            hi = edge(fj, z_box - z1, "right")
+            keep = hi > lo
+            x, lo, hi = x[keep], lo[keep], hi[keep]
+            # Cut where the running pair count passes a multiple of _PAIR_CHUNK.
+            ends = np.cumsum(hi - lo)
+            cuts = np.searchsorted(ends, np.arange(_PAIR_CHUNK, ends[-1] if len(ends) else 0, _PAIR_CHUNK), "right")
+            for s, e in zip(np.append(0, cuts), np.append(cuts, len(x))):
+                if e > s:
+                    yield x[s:e], lo[s:e], hi[s:e]
+
+    return order, pieces
+
+
+def minkowski(p1: PointPatch, p2: PointPatch, z_box: float = math.inf, q_box: float = math.inf) -> PointPatch:
+    """Pointwise product set {x*y : x in p1, y in p2}, clipped to the
+    closed box |z| <= z_box, |q| <= q_box.
+
+    With a finite bound the result is exactly
+    minkowski(p1, p2).restrict(z_box, q_box), but only the candidate
+    pairs that can land in the box are formed, a piece at a time, each
+    piece deduplicated by key as it is formed; the default infinite box
+    keeps the whole product.  The candidate count (n * m for an
+    unclipped call) is checked against the "product" size cap before
+    any pair array exists.
 
     The window grows by the cocycle drift; the trusted core follows
     core' = max(core(p1) - window(p2), 0) per block, which degenerates
     to zero for self-products.  Callers that need gap statistics on a
-    meaningful region restrict to the base patch core themselves.
+    meaningful region clip to the base patch core.
     """
     if p1.group != p2.group:
         raise ValueError("patches live in different groups")
     g = p1.group
-    n, m = p1.n, p2.n
-    check_size("product", n * m)
-    q = (p1.q[:, None, :] + p2.q[None, :, :]).reshape(n * m, g.dim_q)
-    z = (p1.z[:, None, :] + p2.z[None, :, :]).reshape(n * m, g.dim_z)
-    if g.dim_q and g.dim_z:
-        z = z + g.cocycle.beta(p1.q[:, None, :], p2.q[None, :, :]).reshape(n * m, g.dim_z)
-    exact = _exact_pair_product(p1, p2)
+    e1, e2 = p1.exact, p2.exact
+    exact_keys = e1 is not None and e2 is not None and e1.d == e2.d and g.cocycle.is_integral
+    # The search box is padded so that every row sharing a key with a row
+    # in the box is formed, and make_patch keeps the same survivor: rows
+    # of one exact key differ by rounding, which grows with the size of
+    # the coordinates, rows of one quantized key (or p2 rows of one
+    # quantized q-fiber) by up to QUANT, and a QUANT move of q_y shifts z
+    # by the cocycle drift.
+    fiber_spread = 0.0 if e2 is not None else QUANT
+    spread = 0.0 if exact_keys else QUANT
+    q1_max, q2_max = (float(np.abs(p.q).max(initial=0.0)) for p in (p1, p2))
+    z_size = sum(float(np.abs(p.z).max(initial=0.0)) for p in (p1, p2)) + g.cocycle.box_drift(q1_max, q2_max)
+    zb = z_box + BALL_PAD + SEARCH_PAD * (1 + z_size) + spread + g.cocycle.box_drift(q1_max, fiber_spread)
+    qb = q_box + BALL_PAD + SEARCH_PAD * (1 + q1_max + q2_max) + spread + fiber_spread
+    order, pieces = _candidate_ranges(p1, p2, zb if g.dim_z else math.inf, qb)
+    # Count in a first search and form the pairs in a second, so no more
+    # than one block of ranges is held before the cap is checked.
+    check_size("product", sum(int((hi - lo).sum()) for _, lo, hi in pieces()))
+    if exact_keys and max(e1.max_abs(), e2.max_abs()) > _PAIR_GUARD:
+        raise CoefficientOverflowError("exact coordinates too large for pairwise products")
+    kept = []
+    for x, lo, hi in pieces():
+        rows, cols = _expand_ranges(lo, hi)
+        z, q, exact = _pair_products(p1, p2, x[rows], order[cols], exact_keys)
+        keep = _key_survivors(z, q, _key_matrix(z, q, exact))
+        kept.append((z[keep], q[keep], exact.take(keep) if exact_keys else None))
+    none = np.zeros(0, dtype=np.int64)
+    zs, qs, exacts = zip(*kept or [_pair_products(p1, p2, none, none, exact_keys)])
     drift = g.cocycle.box_drift(p1.window_q, p2.window_q)
-    return make_patch(
+    prod = make_patch(
         group=g,
-        z=z,
-        q=q,
+        z=np.concatenate(zs),
+        q=np.concatenate(qs),
         window_z=p1.window_z + p2.window_z + drift,
         window_q=p1.window_q + p2.window_q,
         core_z=max(p1.core_z - p2.window_z - drift, 0.0),
         core_q=max(p1.core_q - p2.window_q, 0.0),
         provenance=f"minkowski({_short(p1.provenance)},{_short(p2.provenance)})",
-        exact=exact,
+        exact=ExactCoords.concat(exacts) if exact_keys else None,
     )
+    if z_box == math.inf and q_box == math.inf:
+        return prod
+    return prod.restrict(z_box, q_box)
 
 
 def inverse_set(p: PointPatch) -> PointPatch:
@@ -525,8 +677,17 @@ class CoveringReport:
 
 
 def _axis(radius: float, step: float) -> tuple[int, int, float]:
-    """(lo, hi, step) for the multiples of step in [-radius, radius]."""
-    k = math.floor(radius / step + SEARCH_PAD)
+    """(lo, hi, step) for the multiples of step in [-radius, radius].
+
+    The step must be positive and finite and the radius finite.  When
+    radius / step overflows a float the count is taken exactly, so the
+    grid's size cap refuses it by name."""
+    if not 0 < step < math.inf:
+        raise ValueError(f"grid step must be positive and finite, got {step!r}")
+    if not math.isfinite(radius):
+        raise ValueError(f"grid radius must be finite, got {radius!r}")
+    ratio = radius / step
+    k = math.floor(ratio + SEARCH_PAD) if ratio < math.inf else math.floor(Fraction(radius) / Fraction(step))
     return -k, k, step
 
 
@@ -568,8 +729,10 @@ def covering_radius(
             f"({p.core_z:.6g}, {p.core_q:.6g})"
         )
     flat = g.dim_q == 0 or g.dim_z == 0
-    # Mixed case: z probes step h^2 so the gauge offset stays O(h).
-    hz = h if flat else h * h
+    # Mixed case: z probes step h^2 so the gauge offset stays O(h); a
+    # square that underflows keeps the smallest step, so a tiny h meets
+    # the size cap rather than reading as a zero step.
+    hz = h if flat else max(h * h, math.ulp(0.0))
     axes = [_axis(z_radius, hz)] * g.dim_z + [_axis(q_radius, h)] * g.dim_q
     n_probes = _grid_size(axes)
     if not flat:
@@ -612,19 +775,23 @@ def check_meyerian(p: PointPatch, k_max: int = 3, threshold: float = 1e-6) -> Me
     """Min gaps of D, D^2, ..., D^k_max for D = p^-1 * p, measured on the
     base patch core.
 
-    Intermediate products are complete on shrinking boxes; each D^k is
-    clipped so that every realized point of the next power inside the
-    measurement region is still produced.
+    D^k is kept on the box core + (k_max - k) * window(D), which holds
+    every factor of a point of D^k_max on the core, and each product
+    D^(k+1) = D^k * D is formed only inside the next step's keep box
+    (the core at the last step).
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     if p.n < 2:
         raise InsufficientWindowError("need at least two points to form difference sets")
     diff = minkowski(inverse_set(p), p)
-    w_z, w_q = diff.window_z, diff.window_q
+
+    def keep_box(k: int) -> tuple[float, float]:
+        return p.core_z + (k_max - k) * diff.window_z, p.core_q + (k_max - k) * diff.window_q
+
     gaps: list[float] = []
     counts: list[int] = []
-    current = diff
+    current = diff.restrict(*keep_box(1))
     for k in range(1, k_max + 1):
         measured = current.restrict(z_box=p.core_z, q_box=p.core_q)
         if measured.n < 2:
@@ -635,9 +802,7 @@ def check_meyerian(p: PointPatch, k_max: int = 3, threshold: float = 1e-6) -> Me
         gaps.append(min_gap(measured))
         counts.append(measured.n)
         if k < k_max:
-            keep_z = p.core_z + (k_max - k) * w_z
-            keep_q = p.core_q + (k_max - k) * w_q
-            current = minkowski(current.restrict(z_box=keep_z, q_box=keep_q), diff)
+            current = minkowski(current, diff, *keep_box(k + 1))
     return MeyerianReport(
         gaps=tuple(gaps),
         passed=all(g >= threshold for g in gaps),
@@ -699,7 +864,7 @@ def approximate_group_cover(p: PointPatch, cluster_radius: float = 1e-6) -> Cove
     g = p.group
     if not _is_symmetric_with_identity(p):
         raise ValueError("patch must be symmetric and contain the identity")
-    prod = minkowski(p, p).restrict(z_box=p.core_z, q_box=p.core_q)
+    prod = minkowski(p, p, p.core_z, p.core_q)
     if prod.n == 0:
         raise InsufficientWindowError("no product points on the core")
     if g.dim_q and g.dim_z:

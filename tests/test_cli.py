@@ -46,6 +46,7 @@ def test_generate_argument_validation(tmp_path, capsys):
         ["generate", "--scheme", "silver", "--R", "-1", "--T", "10", "-o", out],
         ["generate", "--scheme", "silver", "--R", "1", "-o", out],
         ["generate", "--scheme", "lattice", "--dim", "0", "--T", "5", "-o", out],
+        ["generate", "--scheme", "silver", "--R", "1", "--T", "inf", "-o", out],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -370,3 +371,14 @@ def test_size_caps_exit_one_without_writing(tmp_path, capsys):
     assert code == 1 and out == "" and not big.exists()
     assert err == ("error: lattice window too large: 513922401 exceeds the cap of 50000000; "
                    "shrink the window\n")
+
+
+def test_infinite_grid_step_is_a_usage_error(tmp_path, capsys):
+    patch = tmp_path / "z.json"
+    assert main(["generate", "--scheme", "lattice", "--T", "20", "-o", str(patch)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["bragg", "--in", str(patch), "--eps", "0.5", "--K", "1", "--h", "inf",
+              "--T", "4", "-o", str(tmp_path / "b.csv")])
+    assert exc.value.code == 2
+    assert "--h: must be positive and finite, got inf" in capsys.readouterr().err

@@ -10,6 +10,7 @@ import quasilat as ql
 import quasilat.diffraction as df
 import quasilat.spectral as sp
 from quasilat import errors
+from quasilat.cli import main
 from quasilat.errors import SIZE_CAPS, QuasilatError, SizeLimitError
 
 A1 = ql.abelian_group(1)
@@ -104,3 +105,42 @@ def test_size_caps_refuse_before_allocating(cap, limit, case):
     assert f"{count} exceeds the cap of {limit}" in str(exc.value)
     assert peak < 10 * 2**20
 
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, math.inf, math.nan])
+@pytest.mark.parametrize("call", [
+    lambda Z, h: ql.covering_radius(Z, h=h),
+    lambda Z, h: df.bragg_scan(Z, 0.5, 0.5, h, 0.0, 5.0),
+], ids=["covering_radius", "bragg_scan"])
+def test_grid_steps_must_be_positive_and_finite(call, h):
+    Z = ql.integer_lattice_patch(A1, 30.0)
+    with pytest.raises(ValueError, match="grid step must be positive and finite") as exc:
+        call(Z, h)
+    assert not isinstance(exc.value, SizeLimitError)
+
+
+def test_grid_radii_must_be_finite():
+    with pytest.raises(ValueError, match="grid radius must be finite"):
+        ql.integer_lattice_patch(A1, math.inf)
+
+
+@pytest.mark.parametrize("cap, call", [
+    ("probes", lambda Z: ql.covering_radius(Z, h=1e-320)),
+    ("frequencies", lambda Z: df.bragg_scan(Z, 0.5, 0.5, 1e-320, 0.0, 5.0)),
+    ("mixed_probes", lambda Z: ql.covering_radius(ql.integer_lattice_patch(H3, 2.0, 1.0), h=1e-170)),
+], ids=["covering_radius", "bragg_scan", "mixed_covering_radius"])
+def test_grid_steps_whose_count_overflows_a_float_hit_the_cap(cap, call):
+    # radius / h (or h * h) leaves the float range; the count is taken exactly.
+    Z = ql.integer_lattice_patch(A1, 30.0)
+    with pytest.raises(SizeLimitError) as exc:
+        call(Z)
+    assert str(exc.value).startswith(SIZE_CAPS[cap][1])
+
+
+def test_cli_bragg_with_an_overflowing_step_exits_one(tmp_path, capsys):
+    patch, out = tmp_path / "z.json", tmp_path / "b.csv"
+    assert main(["generate", "--scheme", "lattice", "--T", "20", "-o", str(patch)]) == 0
+    capsys.readouterr()
+    code = main(["bragg", "--in", str(patch), "--eps", "0.5", "--K", "1", "--h", "1e-320",
+                 "--T", "4", "-o", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: frequency grid too fine") and not out.exists()

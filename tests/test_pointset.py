@@ -1,6 +1,7 @@
 """Patch container semantics and set operations against brute force."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -14,8 +15,9 @@ from quasilat.errors import (
     BoundaryUnsoundError,
     CoefficientOverflowError,
     InsufficientWindowError,
+    SizeLimitError,
 )
-from quasilat.pointset import group_rows
+from quasilat.pointset import _PAIR_CHUNK, _beta_rows, group_rows
 
 S2 = math.sqrt(2.0)
 
@@ -127,6 +129,81 @@ def test_minkowski_flat_exact_matches_set_arithmetic():
     assert set(map(tuple, s.key_matrix.tolist())) == want
     assert s.window_z == 13.0
     assert s.exact is not None
+
+
+@pytest.fixture(scope="module")
+def product_cases(split_product):
+    H = ql.heisenberg_group()
+    P = small_h3_patch(window_z=2.0, window_q=1.0)
+    D = ql.minkowski(ql.inverse_set(P), P)
+    S = ql.model_set_1d(1, 20.0)
+    Ds = ql.minkowski(ql.inverse_set(S), S)
+    # Float keys only: jittered lattice points with sqrt2-scaled q.
+    L = small_h3_patch(window_z=3.0, window_q=2.0)
+    jitter = np.random.default_rng(11).uniform(-1e-3, 1e-3, size=(L.n, 3))
+    F = ql.make_patch(H, L.z + jitter[:, :1], L.q * S2 + jitter[:, 1:], 3.01, 2 * S2 + 0.01, 2.0, 2.0)
+    assert F.exact is None and F.n == L.n
+    # Float keys whose products meet again up to rounding.
+    R = ql.make_patch(H, P.z, P.q * S2, 2.0, S2, 2.0, S2)
+    # Exact Z[sqrt2] points near 1.2e9, where one product key has float
+    # representations further apart than any fixed pad.
+    k = np.random.default_rng(3).integers(-6, 7, size=(40, 2))
+    none = np.zeros((40, 0), dtype=np.int64)
+    far = ql.ExactCoords(za=2**28 + k[:, :1], zb=2**28 + k[:, 1:], qa=none, qb=none, d=2)
+    Z = ql.patch_from_exact(ql.abelian_group(1), far, 2.0**31, 0.0, 2.0**31, 0.0)
+    pairs = {"h3 D*D": (D, D), "h3 P*D": (P, D), "silver D*D": (Ds, Ds),
+             "split product": (split_product, split_product), "float h3": (F, F),
+             "float sqrt2 h3": (R, R), "far Z[sqrt2] D": (ql.inverse_set(Z), Z)}
+    return {name: (a, b, ql.minkowski(a, b)) for name, (a, b) in pairs.items()}
+
+
+def assert_same_patch(a, b):
+    assert a.z.tobytes() == b.z.tobytes() and a.q.tobytes() == b.q.tobytes()
+    assert (a.window_z, a.window_q, a.core_z, a.core_q, a.provenance) == (
+        b.window_z, b.window_q, b.core_z, b.core_q, b.provenance)
+    assert (a.exact is None) == (b.exact is None)
+    if a.exact is not None:
+        assert a.exact.d == b.exact.d
+        for f in ("za", "zb", "qa", "qb"):
+            assert np.array_equal(getattr(a.exact, f), getattr(b.exact, f))
+
+
+# Box edges on lattice points, on Z[sqrt2] points, in between, and infinite.
+BOX_EDGES = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0, 7.0, S2, 1 + S2, 2 * S2, 3 - S2, math.inf]),
+    st.floats(0.0, 12.0),
+)
+
+
+@pytest.mark.parametrize(
+    "case", ["h3 D*D", "h3 P*D", "silver D*D", "split product", "float h3", "float sqrt2 h3", "far Z[sqrt2] D"]
+)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_box_clipped_minkowski_equals_restrict_after_product(product_cases, case, data):
+    p1, p2, full = product_cases[case]
+    # Also edges on coordinates of the product itself.
+    z_box = data.draw(st.one_of(BOX_EDGES, st.sampled_from(np.abs(full.z).ravel().tolist())))
+    q_box = data.draw(st.one_of(BOX_EDGES, st.sampled_from(np.abs(full.q).ravel().tolist() or [0.0])))
+    assert_same_patch(ql.minkowski(p1, p2, z_box, q_box), full.restrict(z_box, q_box))
+
+
+@pytest.mark.parametrize("dim_z, dim_q", [(1, 2), (2, 3), (3, 4)])
+def test_cocycle_rows_match_all_pairs_bit_for_bit(dim_z, dim_q):
+    # Products of gathered row pairs must carry the bits of the all-pairs
+    # form, signed zeros included, at every size minkowski gathers.
+    rng = np.random.default_rng(7 + dim_q)
+    mats = rng.normal(size=(dim_z, dim_q, dim_q))
+    beta = ql.Cocycle.from_matrices(mats - mats.transpose(0, 2, 1), dim_q=dim_q)
+    U = rng.normal(size=(300, dim_q)) * 1e3
+    V = rng.normal(size=(230, dim_q))
+    U[::4] = -0.0
+    V[::3, 0] = 0.0
+    pairs = beta.beta(U[:, None, :], V[None, :, :]).reshape(-1, dim_z)
+    for n in (0, 1, 2, 600, _PAIR_CHUNK - 1, _PAIR_CHUNK, U.shape[0] * V.shape[0]):
+        flat = rng.permutation(len(pairs))[:n]
+        i, j = np.divmod(flat, V.shape[0])
+        assert _beta_rows(beta, U[i], V[j]).tobytes() == pairs[flat].tobytes()
 
 
 def test_minkowski_h3_matches_group_law():
@@ -244,6 +321,61 @@ def test_check_meyerian_integer_lattice():
     assert rep.counts[0] == 81
     with pytest.raises(InsufficientWindowError):
         ql.check_meyerian(ql.model_set_1d(1, 0.5), k_max=3)
+
+
+def test_check_meyerian_h3_d2_matches_integer_brute_force():
+    P = small_h3_patch(window_z=6.0, window_q=2.0)
+    assert P.n == 325
+    tracemalloc.start()
+    try:
+        rep = ql.check_meyerian(P, k_max=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Each product is formed only inside the box the next step keeps; the
+    # full D x D product alone took over 1 GB.
+    assert peak < 128 * 2**20
+
+    def mul(a, b):  # (z, q1, q2) under the Heisenberg law, in Python ints
+        return (a[0] + b[0] + a[1] * b[2] - a[2] * b[1], a[1] + b[1], a[2] + b[2])
+
+    def in_core(x):
+        return abs(x[0]) <= 6 and abs(x[1]) <= 2 and abs(x[2]) <= 2
+
+    pts = [tuple(row) for row in P.key_matrix[:, 0::2].tolist()]
+    D = {mul((-z, -q1, -q2), y) for z, q1, q2 in pts for y in pts}
+    # Every pair of D x D whose q lands in the core, fiber by fiber.
+    fibers: dict[tuple[int, int], list[int]] = {}
+    for z, q1, q2 in D:
+        fibers.setdefault((q1, q2), []).append(z)
+    D2 = set()
+    for (a1, a2), za in fibers.items():
+        for (b1, b2), zb in fibers.items():
+            if abs(a1 + b1) <= 2 and abs(a2 + b2) <= 2:
+                D2.update(mul((s, a1, a2), (t, b1, b2)) for s in za for t in zb)
+
+    def gap(points):
+        pts = sorted(points)
+        return min(
+            max(math.sqrt((y[1] - x[1]) ** 2 + (y[2] - x[2]) ** 2),
+                math.sqrt(abs(mul((-x[0], -x[1], -x[2]), y)[0])))
+            for i, x in enumerate(pts) for y in pts[i + 1:]
+        )
+
+    cores = [{x for x in D if in_core(x)}, {x for x in D2 if in_core(x)}]
+    assert rep.counts == tuple(len(c) for c in cores) == (325, 325)
+    assert rep.gaps == tuple(gap(c) for c in cores) == (1.0, 1.0)
+    assert rep.passed
+
+
+def test_product_cap_counts_candidate_pairs():
+    L = ql.integer_lattice_patch(ql.abelian_group(1), 3536.0)
+    with pytest.raises(SizeLimitError, match=f"{L.n * L.n} exceeds"):
+        ql.minkowski(L, L)
+    # 3 * 7073 - 2 candidates land in |z| <= 1, far below the cap.
+    near = ql.minkowski(L, L, 1.0)
+    assert near.z[:, 0].tolist() == [-1.0, 0.0, 1.0]
+    assert near.window_z == 1.0
 
 
 def test_integer_lattice_patch_shape():
