@@ -91,7 +91,6 @@ from .spectral import (
     palm_coefficient,
     palm_profile,
     sandwich_check,
-    set_threads,
     split_data,
     twisted_density,
     twisted_periodization,

@@ -2,16 +2,15 @@
 
 Patches and schemes travel as JSON (exact coordinates preserved),
 spectra as CSV with named headers.  Exit codes: 0 on success, 1 when a
-library computation fails (the error text goes to stderr verbatim),
-2 on usage mistakes.  Identical invocations write identical bytes; the
-QUASILAT_THREADS variable only changes wall time, not output.
+library computation fails or a file is malformed (the error text goes
+to stderr verbatim), 2 on usage mistakes.  Identical invocations write
+identical bytes.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -27,7 +26,7 @@ from .cutproject import (
     silver_scheme,
 )
 from .diffraction import bragg_scan
-from .errors import QuasilatError
+from .errors import CoefficientOverflowError, QuasilatError
 from .group import CentralExtensionGroup, Cocycle, abelian_group, heisenberg_group
 from .pisot import (
     IntPolynomial,
@@ -44,14 +43,13 @@ from .pointset import (
     integer_lattice_patch,
     make_patch,
 )
-from .ring import QuadInt
+from .ring import COEFF_LIMIT, QuadInt
 from .spectral import (
     Character,
     _frequency_grid,
     _twisted_densities,
     default_schedule,
     palm_profile,
-    set_threads,
     twisted_density,
 )
 
@@ -65,22 +63,21 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------- JSON
 
 
+def _write(path: str, text: str) -> None:
+    """Write text and a final newline: the one writer of every CLI file."""
+    with open(path, "w") as f:
+        f.write(text + "\n")
+
+
 def patch_to_doc(P: PointPatch) -> dict:
     g = P.group
-    points = []
-    for i in range(P.n):
-        entry: dict = {
-            "z": [float(v) for v in P.z[i]],
-            "q": [float(v) for v in P.q[i]],
-        }
-        if P.exact is not None:
-            e = P.exact
-            entry["exact"] = {
-                "z": [[int(e.za[i, k]), int(e.zb[i, k])] for k in range(g.dim_z)],
-                "q": [[int(e.qa[i, k]), int(e.qb[i, k])] for k in range(g.dim_q)],
-                "d": int(e.d),
-            }
-        points.append(entry)
+    points = [{"z": z, "q": q} for z, q in zip(P.z.tolist(), P.q.tolist())]
+    if P.exact is not None:
+        e = P.exact
+        z_pairs = np.stack([e.za, e.zb], axis=-1).tolist()
+        q_pairs = np.stack([e.qa, e.qb], axis=-1).tolist()
+        for entry, ez, eq in zip(points, z_pairs, q_pairs):
+            entry["exact"] = {"z": ez, "q": eq, "d": int(e.d)}
     return {
         "group": {
             "dim_z": g.dim_z,
@@ -97,46 +94,46 @@ def patch_to_doc(P: PointPatch) -> dict:
 
 
 def patch_from_doc(doc: dict) -> PointPatch:
-    gdoc = doc["group"]
-    cocycle = Cocycle(
-        dim_z=int(gdoc["dim_z"]),
-        dim_q=int(gdoc["dim_q"]),
-        matrices=tuple(
-            tuple(tuple(float(x) for x in row) for row in m) for m in gdoc["matrices"]
-        ),
-    )
-    group = CentralExtensionGroup(cocycle)
-    pts = doc["points"]
-    n = len(pts)
-    z = np.array([p["z"] for p in pts], dtype=float).reshape(n, group.dim_z)
-    q = np.array([p["q"] for p in pts], dtype=float).reshape(n, group.dim_q)
-    exact = None
-    if n and all("exact" in p for p in pts):
-        d = int(pts[0]["exact"]["d"])
-        za = np.array([[pair[0] for pair in p["exact"]["z"]] for p in pts], dtype=np.int64).reshape(n, group.dim_z)
-        zb = np.array([[pair[1] for pair in p["exact"]["z"]] for p in pts], dtype=np.int64).reshape(n, group.dim_z)
-        qa = np.array([[pair[0] for pair in p["exact"]["q"]] for p in pts], dtype=np.int64).reshape(n, group.dim_q)
-        qb = np.array([[pair[1] for pair in p["exact"]["q"]] for p in pts], dtype=np.int64).reshape(n, group.dim_q)
-        exact = ExactCoords(za=za, zb=zb, qa=qa, qb=qb, d=d)
+    """The patch a v1 document describes.  Missing keys, wrong types and
+    exact coefficients beyond COEFF_LIMIT raise QuasilatError."""
+    try:
+        gdoc = doc["group"]
+        cocycle = Cocycle(
+            dim_z=int(gdoc["dim_z"]),
+            dim_q=int(gdoc["dim_q"]),
+            matrices=tuple(
+                tuple(tuple(float(x) for x in row) for row in m) for m in gdoc["matrices"]
+            ),
+        )
+        group = CentralExtensionGroup(cocycle)
+        pts = doc["points"]
+        n = len(pts)
+        z = np.array([p["z"] for p in pts], dtype=float).reshape(n, group.dim_z)
+        q = np.array([p["q"] for p in pts], dtype=float).reshape(n, group.dim_q)
+        exact = None
+        if n and all("exact" in p for p in pts):
+            d = int(pts[0]["exact"]["d"])
+            za = np.array([[pair[0] for pair in p["exact"]["z"]] for p in pts], dtype=np.int64).reshape(n, group.dim_z)
+            zb = np.array([[pair[1] for pair in p["exact"]["z"]] for p in pts], dtype=np.int64).reshape(n, group.dim_z)
+            qa = np.array([[pair[0] for pair in p["exact"]["q"]] for p in pts], dtype=np.int64).reshape(n, group.dim_q)
+            qb = np.array([[pair[1] for pair in p["exact"]["q"]] for p in pts], dtype=np.int64).reshape(n, group.dim_q)
+            exact = ExactCoords(za=za, zb=zb, qa=qa, qb=qb, d=d)
+        windows = {k: float(doc[k]) for k in ("window_z", "window_q", "core_z", "core_q")}
+        provenance = str(doc.get("provenance", ""))
+    except OverflowError as exc:
+        raise CoefficientOverflowError(f"patch file: a number is out of range ({exc})") from exc
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise QuasilatError(f"malformed patch file: {type(exc).__name__}: {exc}") from exc
+    if exact is not None:
+        if exact.max_abs() > COEFF_LIMIT:
+            raise CoefficientOverflowError(f"patch file: exact coefficients exceed {COEFF_LIMIT}")
         if not np.abs(np.hstack([exact.embed_z() - z, exact.embed_q() - q])).max() <= QUANT:
             raise QuasilatError(f"exact and float coordinates disagree by more than {QUANT:g}")
-    return make_patch(
-        group=group,
-        z=z,
-        q=q,
-        window_z=float(doc["window_z"]),
-        window_q=float(doc["window_q"]),
-        core_z=float(doc["core_z"]),
-        core_q=float(doc["core_q"]),
-        provenance=str(doc.get("provenance", "")),
-        exact=exact,
-    )
+    return make_patch(group=group, z=z, q=q, provenance=provenance, exact=exact, **windows)
 
 
 def save_patch(P: PointPatch, path: str) -> None:
-    with open(path, "w") as f:
-        json.dump(patch_to_doc(P), f)
-        f.write("\n")
+    _write(path, json.dumps(patch_to_doc(P)))
 
 
 def load_patch(path: str) -> PointPatch:
@@ -295,9 +292,7 @@ def _cmd_check(args, parser) -> int:
             "core_q": float(_fmt(rep.core_q)),
             "counts": list(rep.counts),
         }
-        with open(args.out, "w") as f:
-            json.dump(doc, f)
-            f.write("\n")
+        _write(args.out, json.dumps(doc))
     return 0
 
 
@@ -317,8 +312,7 @@ def _cmd_fibers(args, parser) -> int:
         row = [_fmt(v) for v in fr.delta]
         row += [str(fr.cardinality), _fmt(fr.covering_estimate), str(int(fr.essential))]
         lines.append(",".join(row))
-    with open(args.out, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write(args.out, "\n".join(lines))
     print(f"fibers={len(rep.fibers)} essential_fraction={_fmt(rep.essential_fraction)}")
     print(f"uniformly_large={'true' if rep.uniformly_large else 'false'}")
     return 0
@@ -352,9 +346,7 @@ def _cmd_density(args, parser) -> int:
             "converged": est.converged,
             "n_points": est.n_points,
         }
-        with open(args.out, "w") as f:
-            json.dump(doc, f)
-            f.write("\n")
+        _write(args.out, json.dumps(doc))
     return 0
 
 
@@ -383,8 +375,7 @@ def _cmd_spectrum(args, parser) -> int:
                 ]
             )
         )
-    with open(args.out, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write(args.out, "\n".join(lines))
     print(f"wrote {len(grid)} rows to {args.out}")
     return 0
 
@@ -408,8 +399,7 @@ def _cmd_bragg(args, parser) -> int:
                 ]
             )
         )
-    with open(args.out, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write(args.out, "\n".join(lines))
     print(
         f"c_1={_fmt(rep.c_1)} peaks={int(rep.peak_mask.sum())} max_gap={_fmt(rep.max_gap)}"
     )
@@ -444,8 +434,7 @@ def _cmd_pisot(args, parser) -> int:
     text = json.dumps(doc)
     print(text)
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
+        _write(args.out, text)
     return 0
 
 
@@ -468,13 +457,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     parser = build_parser()
     args = parser.parse_args(argv)
-    threads = os.environ.get("QUASILAT_THREADS", "")
-    if threads:
-        try:
-            set_threads(int(threads))
-        except ValueError:
-            print(f"QUASILAT_THREADS must be an integer, got {threads!r}", file=sys.stderr)
-            return 2
     try:
         return _DISPATCH[args.command](args, parser)
     except (QuasilatError, ValueError, NotImplementedError, OSError) as exc:

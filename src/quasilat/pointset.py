@@ -456,15 +456,15 @@ def _pair_products(
     fields = ("za", "zb", "qa", "qb")
     za1, zb1, qa1, qb1 = rows([getattr(p1.exact, f) for f in fields], x)
     za2, zb2, qa2, qb2 = rows([getattr(p2.exact, f) for f in fields], y)
+    beta = g.cocycle.beta_exact(qa1, qb1, qa2, qb2, p1.exact.d) if mixed else ()
+    # Bound the sums in Python ints before forming them, so int64 never wraps.
+    if _max_abs(za1, zb1, qa1, qb1) + _max_abs(za2, zb2, qa2, qb2) + _max_abs(*beta) > COEFF_LIMIT:
+        raise CoefficientOverflowError("product coordinates exceed the safe limit")
     za, zb = za1 + za2, zb1 + zb2
     if mixed:
-        beta_a, beta_b = g.cocycle.beta_exact(qa1, qb1, qa2, qb2, p1.exact.d)
-        za = za + beta_a
-        zb = zb + beta_b
-    exact = ExactCoords(za=za, zb=zb, qa=qa1 + qa2, qb=qb1 + qb2, d=p1.exact.d)
-    if exact.max_abs() > COEFF_LIMIT:
-        raise CoefficientOverflowError("product coordinates exceed the safe limit")
-    return z, q1 + q2, exact
+        za = za + beta[0]
+        zb = zb + beta[1]
+    return z, q1 + q2, ExactCoords(za=za, zb=zb, qa=qa1 + qa2, qb=qb1 + qb2, d=p1.exact.d)
 
 
 _SEARCH_BLOCK = 1 << 18  # (p1 row, p2 fiber) tests per block of the candidate search
@@ -598,33 +598,21 @@ def _is_symmetric_with_identity(p: PointPatch) -> bool:
 def translate(p: PointPatch, g_elt: GroupElement) -> PointPatch:
     """Left translate {g*x : x in p} with honest core shrinkage."""
     g = p.group
-    gz = np.asarray(g_elt.z, dtype=float)
-    gq = np.asarray(g_elt.q, dtype=float)
-    q = p.q + gq[None, :]
-    z = p.z + gz[None, :]
-    if g.dim_q and g.dim_z:
-        z = z + g.cocycle.beta(gq, p.q)
-    exact = None
-    if (
+    exact_keys = (
         p.exact is not None
         and g_elt.is_exact
         and g.cocycle.is_integral
         and all(x.d == p.exact.d for x in g_elt.z_exact + g_elt.q_exact)
-    ):
-        e = p.exact
-        ga = np.array([x.a for x in g_elt.q_exact], dtype=np.int64)
-        gb = np.array([x.b for x in g_elt.q_exact], dtype=np.int64)
-        za = e.za + np.array([x.a for x in g_elt.z_exact], dtype=np.int64)[None, :]
-        zb = e.zb + np.array([x.b for x in g_elt.z_exact], dtype=np.int64)[None, :]
-        qa = e.qa + ga[None, :]
-        qb = e.qb + gb[None, :]
-        if g.dim_q and g.dim_z:
-            beta_a, beta_b = g.cocycle.beta_exact(ga, gb, e.qa, e.qb, e.d)
-            za = za + beta_a
-            zb = zb + beta_b
-        exact = ExactCoords(za=za, zb=zb, qa=qa, qb=qb, d=e.d)
-    shift_z = float(np.max(np.abs(gz))) if g.dim_z else 0.0
-    shift_q = float(np.max(np.abs(gq))) if g.dim_q else 0.0
+    )
+    g_exact = None
+    if exact_keys:
+        # One row each of za, zb, qa, qb.
+        blocks = ([[getattr(x, c) for x in xs]] for xs in (g_elt.z_exact, g_elt.q_exact) for c in "ab")
+        g_exact = ExactCoords(*blocks, d=p.exact.d)
+    shift_z = max(map(abs, g_elt.z), default=0.0)
+    shift_q = max(map(abs, g_elt.q), default=0.0)
+    one = PointPatch(g, [g_elt.z], [g_elt.q], shift_z, shift_q, shift_z, shift_q, exact=g_exact)
+    z, q, exact = _pair_products(one, p, np.zeros(p.n, dtype=np.int64), np.arange(p.n), exact_keys)
     drift = g.cocycle.box_drift(shift_q, p.window_q)
     return make_patch(
         group=g,

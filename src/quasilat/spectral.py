@@ -30,16 +30,6 @@ CONVERGENCE_ABS = 1e-3
 CONVERGENCE_REL = 0.05
 _PHASE_BLOCK = 1_000_000  # (point, theta) entries formed at once
 
-_THREADS = 1
-
-
-def set_threads(n: int) -> None:
-    """Worker count for the frequency-batch maps.  Results are written
-    into preassigned output slots, so any count gives identical bits."""
-    global _THREADS
-    _THREADS = max(1, int(n))
-
-
 def _theta_block(n_points: int) -> int:
     """Thetas per block, so a block holds about _PHASE_BLOCK entries."""
     return max(1, _PHASE_BLOCK // max(n_points, 1))
@@ -50,17 +40,6 @@ def _phase_columns(z: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     lone column pairwise but several columns row by row, so a lone theta
     gets a twin column: every theta is then summed in the same order."""
     return np.exp(-2j * math.pi * (z @ np.repeat(thetas, 1 + (len(thetas) == 1), axis=0).T))
-
-
-def _map_blocks(fn, starts: Sequence[int]) -> None:
-    if _THREADS <= 1 or len(starts) <= 1:
-        for s in starts:
-            fn(s)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=_THREADS) as pool:
-        list(pool.map(fn, starts))
 
 
 @dataclass(frozen=True)
@@ -239,13 +218,11 @@ def palm_profile(
         vol = ball_volume(P.dim_z, T)
         out = np.empty(len(thetas))
         block = _theta_block(len(zm))
-
-        def run_abs(b0: int) -> None:
+        for b0 in range(0, len(thetas), block):
             th = thetas[b0 : b0 + block]
             vals = _phase_columns(zm, th)
             out[b0 : b0 + block] = (np.abs(vals.sum(axis=0) / vol) ** 2)[: len(th)]
-
-        _map_blocks(run_abs, range(0, len(thetas), block))
+            del vals  # one block of phases alive at a time
         return out
     if S <= 0:
         raise DegenerateBallError(
@@ -271,15 +248,13 @@ def palm_profile(
     starts = bounds[:-1]
     out = np.empty(len(thetas))
     block = _theta_block(P.n)
-
-    def run_fibered(b0: int) -> None:
+    for b0 in range(0, len(thetas), block):
         th = thetas[b0 : b0 + block]
         phases = _phase_columns(z_sorted, th) * zmask[:, None]
         sums = np.add.reduceat(phases, starts, axis=0) if len(starts) else np.zeros((0, phases.shape[1]), dtype=complex)
         dens = np.abs(sums / vol_z) ** 2
         out[b0 : b0 + block] = (dens[fiber_sel].sum(axis=0) / vol_q)[: len(th)]
-
-    _map_blocks(run_fibered, range(0, len(thetas), block))
+        del phases, sums, dens  # one block of phases alive at a time
     return out
 
 

@@ -1,16 +1,13 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 import quasilat as ql
 import quasilat.spectral as sp
-from quasilat.cli import load_patch, main, save_patch
+from quasilat.cli import load_patch, main, patch_from_doc, save_patch
 from quasilat.errors import QuasilatError
 
 
@@ -264,37 +261,6 @@ def test_runtime_errors_exit_one(tmp_path, capsys):
     assert code3 == 1 and "error:" in err3
 
 
-def test_thread_count_does_not_change_bytes(tmp_path):
-    env = {**os.environ, "PYTHONHASHSEED": "0"}
-    outputs = []
-    for threads in ("1", "4"):
-        d = tmp_path / f"t{threads}"
-        d.mkdir()
-        patch = d / "patch.json"
-        csv = d / "bragg.csv"
-        env["QUASILAT_THREADS"] = threads
-        for argv in (
-            ["generate", "--scheme", "silver", "--R", "1", "--T", "60",
-             "-o", str(patch)],
-            ["bragg", "--in", str(patch), "--eps", "0.5", "--K", "3",
-             "--h", "0.005", "--T", "50", "-o", str(csv)],
-        ):
-            r = subprocess.run([sys.executable, "-m", "quasilat.cli", *argv],
-                               env=env, capture_output=True, text=True)
-            assert r.returncode == 0, r.stderr
-        outputs.append((patch.read_bytes(), csv.read_bytes()))
-    assert outputs[0] == outputs[1]
-
-
-def test_bad_thread_env_rejected(tmp_path):
-    env = {**os.environ, "QUASILAT_THREADS": "many"}
-    r = subprocess.run(
-        [sys.executable, "-m", "quasilat.cli", "pisot", "--value", "2.5"],
-        env=env, capture_output=True, text=True)
-    assert r.returncode == 2
-    assert "QUASILAT_THREADS" in r.stderr
-
-
 def _five_point_line(tmp_path, capsys):
     p = tmp_path / "line.json"
     assert main(["generate", "--scheme", "lattice", "--T", "2", "-o", str(p)]) == 0
@@ -322,6 +288,38 @@ def test_loader_refuses_exact_float_disagreement(tmp_path, capsys):
         load_patch(str(p))
     code, out, err = run(capsys, "check", "--in", str(p))
     assert code == 1 and "disagree" in err
+
+
+def _set_exact_z(doc, value):
+    doc["points"][0]["exact"]["z"][0] = [value, 0]
+    doc["points"][0]["z"] = [float(value)]
+    return doc
+
+
+@pytest.mark.parametrize("damage", [
+    lambda doc: {"window_z": 1.0},
+    lambda doc: [doc],
+    lambda doc: {**doc, "points": 5},
+    lambda doc: {**doc, "group": {"dim_z": 1}},
+    lambda doc: {**doc, "window_q": "wide"},
+    lambda doc: {**doc, "points": [{"z": ["x"], "q": []}]},
+    lambda doc: {**doc, "points": [{"z": [0.0]}]},
+    lambda doc: {**doc, "points": [{"z": [0.0], "q": [], "exact": {"z": [[0]], "q": [], "d": 2}}]},
+    lambda doc: _set_exact_z(doc, 10 ** 21),
+    lambda doc: _set_exact_z(doc, -(10 ** 21)),
+    lambda doc: _set_exact_z(doc, 2 ** 62 + 1),
+], ids=["no-group", "not-an-object", "points-not-a-list", "no-dim-q", "window-not-a-number",
+        "z-not-a-number", "no-q", "half-a-pair", "beyond-int64", "below-int64", "beyond-coeff-limit"])
+def test_malformed_patch_file_exits_one_without_traceback(tmp_path, capsys, damage):
+    p, doc = _five_point_line(tmp_path, capsys)
+    bad = damage(doc)
+    with pytest.raises(QuasilatError):
+        patch_from_doc(bad)
+    p.write_text(json.dumps(bad))
+    code, out, err = run(capsys, "project", "--in", str(p), "-o", str(tmp_path / "out.json"))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_readme_examples_print_what_the_readme_shows(tmp_path, capsys):

@@ -269,6 +269,53 @@ def test_translate_matches_group_multiplication():
     assert T.core_q == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("n", [1, 7, 600, 70_000])
+@pytest.mark.parametrize("exact", [True, False])
+def test_translate_rows_match_the_broadcast_formula_bit_for_bit(n, exact):
+    # g*x = (z_g + z_x + beta(q_g, q_x), q_g + q_x), formed over all rows at once
+    H = ql.heisenberg_group()
+    P = ql.integer_lattice_patch(H, 43.0, 14.0).take(np.arange(n))
+    if not exact:
+        P = P.take(np.arange(n), exact=None)
+    g = ql.GroupElement(z=(0.3,), q=(0.7, -1.3))
+    T = ql.translate(P, g)
+    gz, gq = np.array(g.z), np.array(g.q)
+    want_z = P.z + gz[None, :] + H.cocycle.beta(gq, P.q)
+    want_q = P.q + gq[None, :]
+
+    def by_rows(z, q):
+        order = np.lexsort(tuple(z.T) + tuple(q.T))
+        return np.hstack([z, q])[order]
+
+    assert T.n == n
+    assert np.array_equal(by_rows(T.z, T.q), by_rows(want_z, want_q))
+
+
+def _exact_point(group, za, qa, qb, d):
+    def row(values):
+        return np.array(values, dtype=np.int64).reshape(1, -1)
+
+    exact = ql.ExactCoords(za=row([za]), zb=row([0]), qa=row(qa), qb=row(qb), d=d)
+    return ql.patch_from_exact(group, exact, window_z=2.0 ** 63, window_q=2.0 ** 63, core_z=0.0, core_q=0.0)
+
+
+def test_translate_refuses_a_sum_beyond_the_coefficient_limit():
+    # 2**62 + 2**62 wraps to -2**63 in int64
+    P = _exact_point(ql.abelian_group(1, 0), 2 ** 62, [], [], 2)
+    with pytest.raises(CoefficientOverflowError):
+        ql.translate(P, ql.element_from_ints([2 ** 62], []))
+    # 2**62 + 2**62 + beta = 3 * 2**62 wraps to -2**62, which an after-the-fact
+    # bound would accept; beta itself passes its own bound with equality
+    m, d = 2 ** 29, 7
+    assert 16 * m * m == 2 ** 62
+    P = _exact_point(ql.heisenberg_group(), 2 ** 62, [m, m], [m, m], d)
+    v = ql.QuadInt(m, m, d)
+    g = ql.GroupElement(z=(2.0 ** 62,), q=(v.embed(), -v.embed()),
+                        z_exact=(ql.QuadInt(2 ** 62, 0, d),), q_exact=(v, ql.QuadInt(-m, -m, d)))
+    with pytest.raises(CoefficientOverflowError):
+        ql.translate(P, g)
+
+
 def test_min_gap_flat_matches_brute_force(rng):
     z = np.unique(rng.uniform(-10, 10, size=40)).reshape(-1, 1)
     P = ql.make_patch(group=ql.abelian_group(1, 0), z=z, q=np.zeros((len(z), 0)),

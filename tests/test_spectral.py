@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
@@ -277,17 +278,21 @@ def test_sampled_function_container():
     assert ind.lookup(np.array([[3.0, -4.0]]))[0] == 1.0
 
 
-def test_thread_pool_is_bit_identical(split_patch):
-    P = split_patch
-    thetas = np.linspace(-1.0, 1.0, 401)
-    serial = sp.palm_profile(P, thetas, 1.5, 8.0)
-    fib = np.arange(-3000.0, 3001.0).reshape(-1, 1)
-    d_serial = sp.twisted_density(fib, sp.character(1 / 7), [3000.0])
-    sp.set_threads(4)
-    try:
-        parallel = sp.palm_profile(P, thetas, 1.5, 8.0)
-        d_par = sp.twisted_density(fib, sp.character(1 / 7), [3000.0])
-    finally:
-        sp.set_threads(1)
-    assert np.array_equal(serial, parallel)
-    assert d_serial.value == d_par.value
+@pytest.mark.parametrize("P, S, T", [
+    (ql.model_set_1d(1, 2000.0), 0.0, 1900.0),
+    (ql.integer_lattice_patch(ql.heisenberg_group(), 40.0, 12.0), 10.0, 35.0),
+], ids=["flat", "fibered"])
+def test_palm_profile_holds_one_theta_block_at_a_time(P, S, T):
+    # Many blocks may not need more memory than one: each block's phases
+    # are freed before the next block forms its own.
+    block = sp._theta_block(P.n)
+    peaks = []
+    for n_blocks in (1, 4):
+        thetas = np.linspace(-1.0, 1.0, n_blocks * block)
+        tracemalloc.start()
+        try:
+            sp.palm_profile(P, thetas, S, T)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.2 * peaks[0]
