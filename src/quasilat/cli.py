@@ -26,7 +26,7 @@ from .cutproject import (
     silver_scheme,
 )
 from .diffraction import bragg_scan
-from .errors import CoefficientOverflowError, QuasilatError
+from .errors import CoefficientOverflowError, QuasilatError, RadicandMismatchError
 from .group import CentralExtensionGroup, Cocycle, abelian_group, heisenberg_group
 from .pisot import (
     IntPolynomial,
@@ -112,12 +112,12 @@ def patch_from_doc(doc: dict) -> PointPatch:
         q = np.array([p["q"] for p in pts], dtype=float).reshape(n, group.dim_q)
         exact = None
         if n and all("exact" in p for p in pts):
-            d = int(pts[0]["exact"]["d"])
-            za = np.array([[pair[0] for pair in p["exact"]["z"]] for p in pts], dtype=np.int64).reshape(n, group.dim_z)
-            zb = np.array([[pair[1] for pair in p["exact"]["z"]] for p in pts], dtype=np.int64).reshape(n, group.dim_z)
-            qa = np.array([[pair[0] for pair in p["exact"]["q"]] for p in pts], dtype=np.int64).reshape(n, group.dim_q)
-            qb = np.array([[pair[1] for pair in p["exact"]["q"]] for p in pts], dtype=np.int64).reshape(n, group.dim_q)
-            exact = ExactCoords(za=za, zb=zb, qa=qa, qb=qb, d=d)
+            radicands = sorted({int(p["exact"]["d"]) for p in pts})
+            if len(radicands) > 1:
+                raise RadicandMismatchError(f"patch file: points carry radicands {radicands}")
+            z2 = np.array([p["exact"]["z"] for p in pts], dtype=np.int64).reshape(n, group.dim_z, 2)
+            q2 = np.array([p["exact"]["q"] for p in pts], dtype=np.int64).reshape(n, group.dim_q, 2)
+            exact = ExactCoords(za=z2[..., 0], zb=z2[..., 1], qa=q2[..., 0], qb=q2[..., 1], d=radicands[0])
         windows = {k: float(doc[k]) for k in ("window_z", "window_q", "core_z", "core_q")}
         provenance = str(doc.get("provenance", ""))
     except OverflowError as exc:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .cutproject import MATCH_TOL
 from .cutproject import fiber as extract_fiber
@@ -23,7 +22,7 @@ from .errors import DegenerateDensityError, InsufficientWindowError, WindowShort
 from .group import ball_volume, gauge_ball_volume
 from .pointset import (
     BALL_PAD, CORE_PAD, QUANT, SEARCH_PAD, ExactCoords, PointPatch,
-    _as_block, _expand_ranges, _fiber_index, _mixed_radix, _quant_keys, group_rows,
+    _as_block, _expand_ranges, _fiber_index, _mixed_radix, _pair_pieces, _quant_keys, group_rows,
 )
 from .spectral import (
     Character,
@@ -100,99 +99,88 @@ def _aggregate_keys(
     return uniq + np.array(lo, dtype=np.int64), summed.astype(np.int64)
 
 
-def _flat_autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedPointMeasure:
-    """Flat patches with more than one central dimension, by KD-tree."""
-    dz = P.dim_z
-    vol = ball_volume(dz, T)
-    tree = cKDTree(P.z)
-    norms = np.sqrt(np.sum(P.z * P.z, axis=1))
-    x_idx = np.flatnonzero(norms <= T + BALL_PAD)
-    key_rows: list[np.ndarray] = []
-    for i in x_idx:
-        js = np.asarray(tree.query_ball_point(P.z[i], range_ + SEARCH_PAD), dtype=np.int64)
-        d = P.z[js] - P.z[i][None, :]
-        keep = np.sqrt(np.sum(d * d, axis=1)) <= range_ + BALL_PAD
-        key_rows.append(_quant_keys(d[keep]))
-    keys = np.concatenate(key_rows, axis=0) if key_rows else np.zeros((0, dz), dtype=np.int64)
-    uniq, counts = _aggregate_keys(list(keys.T))
-    return WeightedPointMeasure(
-        dim_z=dz, dim_q=0, z=uniq * QUANT, q=np.zeros((len(uniq), 0)),
-        weights=counts / vol, range_=range_, normalization=vol, exact=None,
-    )
+def _norm(cols: Sequence[np.ndarray]) -> np.ndarray:
+    """Euclidean norm of rows given as one array per coordinate; for one
+    coordinate the square root of its square is its abs exactly."""
+    return np.abs(cols[0]) if len(cols) == 1 else np.sqrt(sum(c * c for c in cols))
 
 
 def _window_autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedPointMeasure:
-    """Autocorrelation with one central dimension, flat or mixed.
+    """Autocorrelation of a flat or mixed patch, any central dimension.
 
-    Rows are grouped into fibers by q-key and sorted by z inside each; a
-    flat patch is one fiber.  Each x-fiber i pairs with every fiber j
-    whose delta lies within range, through one sorted-window search
-    around z_x + beta(delta_i, delta_j) over all of them at once, and its
-    pairs are counted by (neighbour, z-key) before the q-keys are
-    attached, so memory stays per x-fiber.
+    Rows are grouped into fibers by q-key and sorted by z_0 inside each;
+    a flat patch is one fiber.  Each x-fiber i pairs with every fiber j
+    whose delta lies within range, through one sorted-window search on
+    the first central coordinate around z_x + beta(delta_i, delta_j) over
+    all of them at once (|dz_0| <= |dz|, so the window drops no pair).
+    Pairs are kept by the norm of the whole z block and counted by
+    (neighbour, z-key), a piece of about _PAIR_CHUNK pairs at a time,
+    before the q-keys are attached, so memory stays per piece.
     """
-    if P.dim_z != 1:
-        raise NotImplementedError("mixed autocorrelation implemented for one central dimension")
     g = P.group
-    n = P.n
-    vol = gauge_ball_volume(1, P.dim_q, T)
+    n, dim_z = P.n, P.dim_z
+    vol = gauge_ball_volume(dim_z, P.dim_q, T)
     # The gauge is |z| on a flat patch and max(|q|, sqrt|z|) on a mixed one.
     t_z, w = (T, range_) if P.dim_q == 0 else (T * T, range_ * range_)
     order, starts, window_edge = _fiber_index(P.q_key_matrix, P.z[:, 0])
     bounds = np.append(starts, n)
-    zs = P.z[order, 0]
+    zs = [P.z[order, k] for k in range(dim_z)]
+    x_norms = _norm(zs)
     heads = order[starts]
     deltas = P.q[heads]
     exact_mode = P.exact is not None and g.cocycle.is_integral
     if exact_mode:
-        za, zb = P.exact.za[order, 0], P.exact.zb[order, 0]
+        # One (a, b) pair per z coordinate, in the ExactCoords.key_matrix layout.
+        z_exact = [v[order, k] for k in range(dim_z) for v in (P.exact.za, P.exact.zb)]
         head_qa, head_qb = P.exact.qa[heads], P.exact.qb[heads]
         head_keys = P.q_key_matrix[heads]
-    width = 2 + 2 * P.dim_q if exact_mode else 1 + P.dim_q
+    width = 2 * (dim_z + P.dim_q) if exact_mode else dim_z + P.dim_q
     all_keys = [np.zeros((0, width), dtype=np.int64)]
     all_counts = [np.zeros(0, dtype=np.int64)]
     for fi in np.flatnonzero(np.sqrt(np.sum(deltas * deltas, axis=1)) <= T + BALL_PAD):
         xs = np.arange(bounds[fi], bounds[fi + 1])
-        xs = xs[np.abs(zs[xs]) <= t_z + BALL_PAD]
+        xs = xs[x_norms[xs] <= t_z + BALL_PAD]
         dq = deltas - deltas[fi]
         nb = np.flatnonzero(np.sqrt(np.sum(dq * dq, axis=1)) <= range_ + BALL_PAD)
-        # One query per (x point, neighbour fiber): its row src in zs and
-        # the neighbour's slot in nb.
-        src = np.repeat(xs, len(nb))
-        slot = np.tile(np.arange(len(nb)), len(xs))
-        z1 = zs[src]
-        c = g.cocycle.beta(deltas[fi], deltas[nb])[slot, 0]
-        lo = window_edge(nb[slot], z1 + c - w - SEARCH_PAD, "left")
-        hi = window_edge(nb[slot], z1 + c + w + SEARCH_PAD, "right")
-        rows, cols = _expand_ranges(lo, hi)
-        dz = zs[cols] - z1[rows] - c[rows]
-        keep = np.abs(dz) <= w + BALL_PAD
-        rows, cols, dz = rows[keep], cols[keep], dz[keep]
-        j = slot[rows]
+        # One query per (neighbour fiber, x point): the neighbour's slot in
+        # nb and the x row src in zs.  Neighbour-major, so a piece of pairs
+        # spans few neighbours and pieces share few (neighbour, z) keys.
+        slot = np.repeat(np.arange(len(nb)), len(xs))
+        src = np.tile(xs, len(nb))
+        c = g.cocycle.beta(deltas[fi], deltas[nb])[slot]
+        z0 = zs[0][src] + c[:, 0]
+        lo = window_edge(nb[slot], z0 - w - SEARCH_PAD, "left")
+        hi = window_edge(nb[slot], z0 + w + SEARCH_PAD, "right")
         if exact_mode:
             ca, cb = g.cocycle.beta_exact(head_qa[fi], head_qb[fi], head_qa[nb], head_qb[nb], P.exact.d)
-            pair_keys = [j, za[cols] - (za[src] + ca[slot, 0])[rows], zb[cols] - (zb[src] + cb[slot, 0])[rows]]
+            shift = [cv[slot, k] for k in range(dim_z) for cv in (ca, cb)]
+            x_exact = [v[src] + sh for v, sh in zip(z_exact, shift)]
             q_keys = head_keys[nb] - head_keys[fi]
         else:
-            pair_keys = [j, _quant_keys(dz)]
             q_keys = _quant_keys(dq[nb])
-        uniq, cnt = _aggregate_keys(pair_keys)
-        all_keys.append(np.column_stack([uniq[:, 1:], q_keys[uniq[:, 0]]]))
-        all_counts.append(cnt)
+        for s, e in _pair_pieces(hi - lo):
+            rows, cols = _expand_ranges(lo[s:e], hi[s:e])
+            rows += s
+            dz = [zk[cols] - zk[src[rows]] - c[rows, k] for k, zk in enumerate(zs)]
+            keep = _norm(dz) <= w + BALL_PAD
+            rows, cols = rows[keep], cols[keep]
+            if exact_mode:
+                z_keys = [v[cols] - x[rows] for v, x in zip(z_exact, x_exact)]
+            else:
+                z_keys = [_quant_keys(dk[keep]) for dk in dz]
+            uniq, cnt = _aggregate_keys([slot[rows], *z_keys])
+            all_keys.append(np.column_stack([uniq[:, 1:], q_keys[uniq[:, 0]]]))
+            all_counts.append(cnt)
     keys, counts = _aggregate_keys(list(np.concatenate(all_keys).T), np.concatenate(all_counts))
     if exact_mode:
-        d = P.exact.d
-        z_atoms = (keys[:, 0] + keys[:, 1] * math.sqrt(d)).reshape(-1, 1)
-        qa = keys[:, 2::2]
-        qb = keys[:, 3::2]
-        q_atoms = qa + qb * math.sqrt(d)
-        exact = ExactCoords(za=keys[:, :1], zb=keys[:, 1:2], qa=qa, qb=qb, d=d)
+        m = 2 * dim_z
+        exact = ExactCoords(za=keys[:, 0:m:2], zb=keys[:, 1:m:2], qa=keys[:, m::2], qb=keys[:, m + 1::2], d=P.exact.d)
+        z_atoms, q_atoms = exact.embed_z(), exact.embed_q()
     else:
-        z_atoms = keys[:, :1] * QUANT
-        q_atoms = keys[:, 1:] * QUANT
         exact = None
+        z_atoms, q_atoms = keys[:, :dim_z] * QUANT, keys[:, dim_z:] * QUANT
     return WeightedPointMeasure(
-        dim_z=1, dim_q=P.dim_q, z=z_atoms, q=q_atoms,
+        dim_z=dim_z, dim_q=P.dim_q, z=z_atoms, q=q_atoms,
         weights=counts / vol, range_=range_, normalization=vol, exact=exact,
     )
 
@@ -210,6 +198,8 @@ def autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedPointMeas
     range_ = float(range_)
     if T <= 0 or range_ <= 0:
         raise ValueError("T and range must be positive")
+    if P.dim_z == 0:
+        raise ValueError("autocorrelation needs a central coordinate")
     if P.dim_q == 0:
         need = T + range_
         if P.core_z + CORE_PAD < need:
@@ -217,8 +207,6 @@ def autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedPointMeas
                 f"averaging to T={T:.6g} with range {range_:.6g} needs core "
                 f"{need:.6g}, patch has {P.core_z:.6g}"
             )
-        if P.dim_z != 1:
-            return _flat_autocorrelation(P, T, range_)
     else:
         drift = P.group.cocycle.drift_bound
         need_q = T + range_

@@ -25,7 +25,7 @@ from .errors import (
     check_size,
 )
 from .group import CentralExtensionGroup, GroupElement, _max_abs
-from .ring import COEFF_LIMIT, QuadInt
+from .ring import COEFF_LIMIT, QuadInt, check_radicand
 
 QUANT = 1e-9  # float coordinates closer than this collapse to one key
 SEARCH_PAD = 1e-9  # widens a search window or a grid count so rounding drops no candidate
@@ -54,6 +54,7 @@ class ExactCoords:
             raise ValueError("mismatched exact coordinate shapes")
         if len(self.za) != len(self.qa):
             raise ValueError("z and q exact blocks disagree on point count")
+        check_radicand(self.d)
 
     @classmethod
     def from_quadints_z(cls, points: Sequence[QuadInt]) -> "ExactCoords":
@@ -471,6 +472,14 @@ _SEARCH_BLOCK = 1 << 18  # (p1 row, p2 fiber) tests per block of the candidate s
 _PAIR_CHUNK = 1 << 16  # candidate pairs formed and deduplicated at a time
 
 
+def _pair_pieces(counts: np.ndarray) -> list[tuple[int, int]]:
+    """Slices [s, e) of consecutive ranges holding counts pairs each, cut
+    where the running pair count passes a multiple of _PAIR_CHUNK."""
+    ends = np.cumsum(counts)
+    cuts = np.searchsorted(ends, np.arange(_PAIR_CHUNK, ends[-1] if len(ends) else 0, _PAIR_CHUNK), "right")
+    return [(s, e) for s, e in zip(np.append(0, cuts), np.append(cuts, len(counts))) if e > s]
+
+
 def _candidate_ranges(p1: PointPatch, p2: PointPatch, z_box: float, q_box: float):
     """Candidate pairs of p1 x p2 for products in the closed box |z_0| <=
     z_box, |q| <= q_box, as (order, pieces): each piece (x, lo, hi) of
@@ -498,12 +507,8 @@ def _candidate_ranges(p1: PointPatch, p2: PointPatch, z_box: float, q_box: float
             hi = edge(fj, z_box - z1, "right")
             keep = hi > lo
             x, lo, hi = x[keep], lo[keep], hi[keep]
-            # Cut where the running pair count passes a multiple of _PAIR_CHUNK.
-            ends = np.cumsum(hi - lo)
-            cuts = np.searchsorted(ends, np.arange(_PAIR_CHUNK, ends[-1] if len(ends) else 0, _PAIR_CHUNK), "right")
-            for s, e in zip(np.append(0, cuts), np.append(cuts, len(x))):
-                if e > s:
-                    yield x[s:e], lo[s:e], hi[s:e]
+            for s, e in _pair_pieces(hi - lo):
+                yield x[s:e], lo[s:e], hi[s:e]
 
     return order, pieces
 

@@ -51,6 +51,13 @@ def _guard(value: int) -> int:
     return value
 
 
+def check_radicand(d: int) -> None:
+    """Raise ValueError unless d is a nonsquare integer >= 2, the radicands
+    whose Z[sqrt d] this module handles."""
+    if d <= 1 or math.isqrt(d) ** 2 == d:
+        raise ValueError(f"radicand must be a nonsquare integer >= 2, got {d}")
+
+
 @dataclass(frozen=True)
 class QuadInt:
     """a + b*sqrt(d) with integer a, b and fixed nonsquare radicand d."""
@@ -60,8 +67,7 @@ class QuadInt:
     d: int = 2
 
     def __post_init__(self) -> None:
-        if self.d <= 1 or math.isqrt(self.d) ** 2 == self.d:
-            raise ValueError(f"radicand must be a nonsquare integer >= 2, got {self.d}")
+        check_radicand(self.d)
         _guard(self.a)
         _guard(self.b)
 

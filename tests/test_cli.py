@@ -322,6 +322,27 @@ def test_malformed_patch_file_exits_one_without_traceback(tmp_path, capsys, dama
     assert not (tmp_path / "out.json").exists()
 
 
+def _set_radicand(doc, d, first=0):
+    for pt in doc["points"][first:]:
+        pt["exact"]["d"] = d
+    return doc
+
+
+@pytest.mark.parametrize("damage", [
+    lambda doc: _set_radicand(doc, 5, first=3),
+    lambda doc: _set_radicand(doc, -1),
+    lambda doc: _set_radicand(doc, 4),
+], ids=["mixed", "negative", "square"])
+def test_patch_file_radicands_are_checked(tmp_path, capsys, damage):
+    # Every b is 0, so the floats agree whatever the radicand.
+    p, doc = _five_point_line(tmp_path, capsys)
+    p.write_text(json.dumps(damage(doc)))
+    code, out, err = run(capsys, "check", "--in", str(p), "-o", str(tmp_path / "out.json"))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "radicand" in err and "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_readme_examples_print_what_the_readme_shows(tmp_path, capsys):
     def lines(*argv):
         code, out, err = run(capsys, *argv)

@@ -1,13 +1,17 @@
 """Autocorrelation measures and diffraction estimates against brute force."""
 
+import hashlib
 import math
+import tracemalloc
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
 import quasilat as ql
 import quasilat.diffraction as df
+import quasilat.pointset as pointset
 import quasilat.spectral as sp
 from quasilat.errors import (
     DegenerateDensityError,
@@ -70,6 +74,9 @@ def test_flat_two_dimensional_matches_brute_force():
     vol = ql.ball_volume(2, 3.0)
     for (x, y), cnt in brute.items():
         assert eta.weight_at([float(x), float(y)]) == pytest.approx(cnt / vol)
+    assert eta.exact is not None
+    assert {tuple(k) for k in eta.exact.za.tolist()} == set(brute) and not eta.exact.zb.any()
+    _assert_float_atoms(df.autocorrelation(_float_keyed(Z2), 3.0, 2.0), _quantized_pair_counts(Z2, 3.0, 2.0))
 
 
 def test_mixed_h3_matches_group_operation_loop(h3_eta):
@@ -99,12 +106,16 @@ def test_mixed_h3_matches_group_operation_loop(h3_eta):
     assert set(brute.values()) == {117}
 
 
+def _silver_product():
+    D1 = ql.model_set_1d(1, 4.8)
+    return ql.symplectic_product(ql.model_set_1d(1, 18.0), ql.cartesian_flat(D1, D1), ql.heisenberg_group(), k=3)
+
+
 def test_mixed_silver_product_matches_exact_group_law():
     # Columns (1 + sqrt2, 1) and (1, 1 + sqrt2) are within the range of each
     # other, so the cocycle products carry d*qb*qb and qa*qb + qb*qa terms.
     H = ql.heisenberg_group()
-    D1 = ql.model_set_1d(1, 4.8)
-    P = ql.symplectic_product(ql.model_set_1d(1, 18.0), ql.cartesian_flat(D1, D1), H, k=3)
+    P = _silver_product()
     T, range_ = 2.7, 2.1
     eta = df.autocorrelation(P, T, range_)
     brute = Counter()
@@ -204,6 +215,58 @@ def test_window_search_is_exact_far_from_the_origin():
     _assert_float_atoms(df.autocorrelation(P, T, range_), brute)
 
 
+def _h3_core(T, range_):
+    """The H3 lattice patch with the smallest cores autocorrelation accepts."""
+    H = ql.heisenberg_group()
+    wz = math.ceil(T * T + range_ * range_ + H.cocycle.drift_bound * T * range_)
+    return ql.integer_lattice_patch(H, float(wz), T + range_)
+
+
+# sha256 of the atoms (z, q, weights, exact columns) on four dim_z = 1
+# cases, which pins their bits.  The atoms are integer keys and pair counts
+# over a volume, with no libm call, so the digests do not depend on the
+# numpy build.
+PINNED_ATOMS = {
+    "h3_core": (lambda: (_h3_core(3.5, 4.25), 3.5, 4.25),
+                "f281d0f9429f8e774ab62372f3eca8c18434d2a1449b173451c8a232b23f7b53"),
+    "silver": (lambda: (ql.model_set_1d(1, 2100), 1000, 45),
+               "2aa88f6c1c88605b4536a130d5ffd41732ba6e974b3d17cc3e47acd3e46e87ad"),
+    "silver_float": (lambda: (_float_keyed(ql.model_set_1d(1, 2100)), 1000, 45),
+                     "44f800ec85a86684a14ee47a7cd1458cfb6914ce1ed02b922ba8afd294d381b3"),
+    "silver_product": (lambda: (_silver_product(), 2.7, 2.1),
+                       "57d55ea7f312e7ef341de19a2027b99cfa6fb36246c41fec2df419aa8906b34b"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_ATOMS))
+def test_one_central_dimension_atoms_are_pinned(case):
+    build, want = PINNED_ATOMS[case]
+    eta = df.autocorrelation(*build())
+    e = eta.exact
+    h = hashlib.sha256()
+    for a in [eta.z, eta.q, eta.weights] + ([] if e is None else [e.za, e.zb, e.qa, e.qb]):
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    assert h.hexdigest() == want
+
+
+def test_autocorrelation_pairs_are_formed_a_piece_at_a_time():
+    # A flat patch is one x-fiber; at range 400 it holds about 2M pairs.
+    P = ql.model_set_1d(1, 3000)
+    tracemalloc.start()
+    try:
+        eta = df.autocorrelation(P, 2500, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    with patch.object(pointset, "_PAIR_CHUNK", 1 << 40):
+        whole = df.autocorrelation(P, 2500, 400)
+    for a, b in [(eta.z, whole.z), (eta.weights, whole.weights), (eta.exact.za, whole.exact.za),
+                 (eta.exact.zb, whole.exact.zb)]:
+        assert a.tobytes() == b.tobytes()
+
+
 def test_mixed_weights_symmetric_under_inversion(h3_eta):
     H, P, eta = h3_eta
     for z, q, w in zip(eta.z, eta.q, eta.weights):
@@ -248,11 +311,28 @@ def test_autocorrelation_window_prechecks():
         df.autocorrelation(small, 2.0, 1.5)
 
 
-def test_mixed_higher_central_dimension_unsupported():
-    G = ql.abelian_group(2, 1)
-    P = ql.integer_lattice_patch(G, window_z=4.0, window_q=4.0)
-    with pytest.raises(NotImplementedError):
-        df.autocorrelation(P, 1.0, 1.0)
+def test_two_central_dimensions_match_group_law():
+    # The free two-step nilpotent group on three generators:
+    # beta(v, w) = (v1 w2 - v2 w1, v1 w3 - v3 w1).
+    G = ql.CentralExtensionGroup(ql.Cocycle.from_matrices(
+        [[[0, 1, 0], [-1, 0, 0], [0, 0, 0]], [[0, 0, 1], [0, 0, 0], [-1, 0, 0]]], dim_q=3))
+    P = ql.integer_lattice_patch(G, window_z=6.0, window_q=2.5)
+    T, range_ = 1.0, 1.5
+    eta = df.autocorrelation(P, T, range_)
+    brute = _quantized_pair_counts(P, T, range_)
+    assert eta.n_atoms == len(brute) == 399
+    e = eta.exact
+    assert not e.zb.any() and not e.qb.any()
+    assert np.array_equal(eta.z, e.za) and np.array_equal(eta.q, e.qa)
+    got = {
+        tuple(round(v / QUANT) for v in (*za, *qa)): w
+        for za, qa, w in zip(e.za.tolist(), e.qa.tolist(), eta.weights)
+    }
+    assert got == {k: c / eta.normalization for k, c in brute.items()}
+    _assert_float_atoms(df.autocorrelation(_float_keyed(P), T, range_), brute)
+    # need_z = T^2 + range^2 + drift * T * range = 4.75
+    with pytest.raises(WindowShortfallError):
+        df.autocorrelation(ql.integer_lattice_patch(G, window_z=4.0, window_q=2.5), T, range_)
 
 
 def test_diffraction_atom_matches_manual_average():
