@@ -11,6 +11,7 @@ import pytest
 import quasilat as ql
 import quasilat.spectral as sp
 from quasilat.errors import DegenerateBallError, InsufficientWindowError
+from quasilat.pointset import BALL_PAD
 
 TWO_PI = 2.0 * math.pi
 
@@ -21,6 +22,11 @@ def split_patch():
     Xi = ql.integer_lattice_patch(ql.abelian_group(1, 0), window_z=10.0)
     De = ql.integer_lattice_patch(ql.abelian_group(2, 0), window_z=2.0)
     return ql.symplectic_product(Xi, De, H, k=2)
+
+
+@pytest.fixture(scope="module")
+def h3_lattice():
+    return ql.integer_lattice_patch(ql.heisenberg_group(), 40.0, 12.0)
 
 
 def brute_density(zs, theta, T, dim=1):
@@ -113,6 +119,93 @@ def test_palm_profile_matches_double_loop(split_patch):
     prof = sp.palm_profile(P, np.array([0.0, 0.3]), S, T)
     assert prof[0] == pytest.approx(
         sp.palm_coefficient(P, sp.character(0.0), S, T))
+
+
+def per_row_palm(P, thetas, S, T):
+    """Reference for fibered palm_profile: one phase per row, rows with
+    |z| > T masked to zero, reduceat over every fiber, then the fibers
+    within S kept."""
+    order, bounds = sp.fiber_partition(P)
+    z = P.z[order]
+    zmask = np.sqrt(np.sum(z * z, axis=1)) <= T + BALL_PAD
+    heads = order[bounds[:-1]]
+    sel = np.sqrt(np.sum(P.q[heads] * P.q[heads], axis=1)) <= S + BALL_PAD
+    phases = sp._phase_columns(z, thetas) * zmask[:, None]
+    sums = np.add.reduceat(phases, bounds[:-1], axis=0)
+    dens = np.abs(sums / ql.ball_volume(P.dim_z, T)) ** 2
+    return (dens[sel].sum(axis=0) / ql.ball_volume(P.dim_q, S))[: len(thetas)]
+
+
+@pytest.mark.parametrize("S, T", [(12.0, 40.0), (12.0, 31.0), (5.0, 17.3), (12.0, 1.0), (1.0, 3.0)])
+def test_palm_profile_is_bit_identical_to_per_row_phases(h3_lattice, S, T):
+    thetas = np.linspace(-1.0, 1.0, 41).reshape(-1, 1)
+    assert np.array_equal(sp.palm_profile(h3_lattice, thetas, S, T), per_row_palm(h3_lattice, thetas, S, T))
+    one = np.array([[0.37]])
+    assert np.array_equal(sp.palm_profile(h3_lattice, one, S, T), per_row_palm(h3_lattice, one, S, T))
+
+
+@pytest.mark.parametrize("dim_z, dim_q, wz, wq", [(2, 1, 6.0, 4.0), (3, 1, 3.0, 3.0), (2, 2, 5.0, 3.0)])
+def test_palm_profile_bit_identity_on_abelian_extensions(dim_z, dim_q, wz, wq):
+    P = ql.integer_lattice_patch(ql.abelian_group(dim_z, dim_q), wz, wq)
+    thetas = np.random.default_rng(dim_z + dim_q).uniform(-1.0, 1.0, (23, dim_z))
+    for S, T in ((wq, wz), (wq - 1.5, wz - 1.7), (1.0, 2.0)):
+        for th in (thetas, thetas[:1]):
+            assert np.array_equal(sp.palm_profile(P, th, S, T), per_row_palm(P, th, S, T))
+
+
+def test_palm_profile_without_a_fiber_within_S_is_zero():
+    q = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 2.0], [-2.0, 0.0]])
+    z = np.array([[0.0], [1.0], [0.0], [2.0]])
+    P = ql.make_patch(group=ql.heisenberg_group(), z=z, q=q, window_z=2.0, window_q=2.0,
+                      core_z=2.0, core_q=2.0)
+    thetas = np.array([[0.0], [0.25]])
+    got = sp.palm_profile(P, thetas, 1.0, 2.0)
+    assert np.array_equal(got, np.zeros(2))
+    assert np.array_equal(got, per_row_palm(P, thetas, 1.0, 2.0))
+
+
+def lattice_palm(theta, S, T):
+    """c_theta on the H3 integer lattice: each of the N_S fibers over the
+    S-disk holds every integer n with |n| <= T."""
+    r = math.floor(S)
+    n_s = sum(1 for a in range(-r, r + 1) for b in range(-r, r + 1) if a * a + b * b <= S * S)
+    twisted = 1.0 + 2.0 * math.fsum(math.cos(TWO_PI * theta * n) for n in range(1, math.floor(T) + 1))
+    return n_s * twisted ** 2 / ((2.0 * T) ** 2 * math.pi * S * S)
+
+
+@pytest.mark.parametrize("S, T", [(12.0, 40.0), (5.0, 17.3), (7.5, 31.0), (1.0, 3.0)])
+def test_palm_profile_matches_the_h3_lattice_closed_form(h3_lattice, S, T):
+    thetas = np.array([0.0, 0.1, 0.25, 0.5, 1.0, -2.0])
+    for theta, c in zip(thetas, sp.palm_profile(h3_lattice, thetas, S, T)):
+        assert c == pytest.approx(lattice_palm(theta, S, T), rel=1e-12)
+
+
+def test_fibered_palm_forms_one_phase_per_distinct_z(h3_lattice, monkeypatch):
+    sizes = []
+    phase_columns = sp._phase_columns
+
+    def counting(z, thetas):
+        sizes.append(len(z))
+        return phase_columns(z, thetas)
+
+    monkeypatch.setattr(sp, "_phase_columns", counting)
+    sp.palm_profile(h3_lattice, np.linspace(-1.0, 1.0, 41), 12.0, 40.0)
+    assert sizes and max(sizes) <= 81
+
+
+def test_palm_profile_checks_the_theta_width(h3_lattice):
+    with pytest.raises(ValueError):
+        sp.palm_coefficient(h3_lattice, sp.character(0.3, 0.7), 3.0, 10.0)
+    P2 = ql.integer_lattice_patch(ql.abelian_group(2, 1), 3.0, 2.0)
+    flat2 = ql.integer_lattice_patch(ql.abelian_group(2, 0), 3.0)
+    for P, S in ((P2, 1.0), (flat2, 0.0)):
+        for thetas in (np.zeros((4, 1)), np.zeros(4), np.zeros((2, 3)), np.zeros((2, 2, 1))):
+            with pytest.raises(ValueError):
+                sp.palm_profile(P, thetas, S, 2.0)
+    # A 1-d array is a column of thetas on one central coordinate.
+    col = np.array([0.0, 0.3])
+    assert np.array_equal(sp.palm_profile(h3_lattice, col, 3.0, 10.0),
+                          sp.palm_profile(h3_lattice, col.reshape(-1, 1), 3.0, 10.0))
 
 
 def test_palm_refuses_zero_radii(split_patch):
