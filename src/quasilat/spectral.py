@@ -35,11 +35,13 @@ def _theta_block(n_points: int) -> int:
     return max(1, _PHASE_BLOCK // max(n_points, 1))
 
 
-def _phase_columns(z: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+def _phase_columns(z: np.ndarray, thetas: np.ndarray, twin: bool = True) -> np.ndarray:
     """exp(-2 pi i <z, theta>), one column per theta row.  numpy sums a
     lone column pairwise but several columns row by row, so a lone theta
-    gets a twin column: every theta is then summed in the same order."""
-    return np.exp(-2j * math.pi * (z @ np.repeat(thetas, 1 + (len(thetas) == 1), axis=0).T))
+    gets a twin column: every theta is then summed in the same order.
+    Callers that only cumsum pass twin=False: BLAS forms one column of
+    z @ theta in another order than two when dim_z >= 2."""
+    return np.exp(-2j * math.pi * (z @ np.repeat(thetas, 1 + (twin and len(thetas) == 1), axis=0).T))
 
 
 @dataclass(frozen=True)
@@ -138,14 +140,14 @@ def _twisted_densities(
         )
     m = z.shape[1]
     order = np.lexsort(tuple(z[:, k] for k in range(m - 1, -1, -1)) + (norms,))
-    z_sorted = z[order]
     cuts = np.searchsorted(norms[order], np.array(schedule) + BALL_PAD, side="right")
+    z_sorted = z[order[: cuts[-1]]]  # rows past the last cut never reach a sum
     vols = [ball_volume(m, T) for T in schedule]
     start = min((3 * len(schedule)) // 4, len(schedule) - 1)
     out = []
-    block = _theta_block(len(z))
+    block = _theta_block(len(z_sorted))
     for b0 in range(0, len(thetas), block):
-        phases = np.exp(-2j * math.pi * (z_sorted @ thetas[b0 : b0 + block].T))
+        phases = _phase_columns(z_sorted, thetas[b0 : b0 + block], twin=False)
         sums = np.concatenate([np.zeros((1, phases.shape[1])), np.cumsum(phases, axis=0)])[cuts]
         for col in sums.T:
             partials = tuple((T, complex(total) / vol) for T, total, vol in zip(schedule, col, vols))
@@ -213,11 +215,30 @@ def palm_profile(
         raise ValueError(f"thetas of shape {thetas.shape} do not have dim_z = {P.dim_z} columns")
     if T <= 0:
         raise DegenerateBallError(f"averaging radius T={T:.6g} must be positive")
+    if P.dim_q and S <= 0:
+        raise DegenerateBallError(
+            f"Palm radius S={S:.6g} must be positive on a fibered patch"
+        )
+    if P.dim_q and S > P.core_q + CORE_PAD:
+        raise InsufficientWindowError(
+            f"S={S:.6g} exceeds the trusted q-core {P.core_q:.6g}"
+        )
+    if T > P.core_z + CORE_PAD:
+        raise InsufficientWindowError(
+            f"T={T:.6g} exceeds the trusted z-core {P.core_z:.6g}"
+        )
+    inv = slice(None)
+    if P.dim_z == 1:
+        # One column per |theta|: z * (-theta) = -(z * theta) exactly (BLAS sums
+        # break this for dim_z >= 2) and exp conjugates the phase, unseen by |.|^2.
+        thetas, inv = np.unique(np.abs(thetas[:, 0]), return_inverse=True)
+        thetas, inv = thetas.reshape(-1, 1), inv.reshape(-1)
+    return _palm_columns(P, thetas, S, T)[inv]
+
+
+def _palm_columns(P: PointPatch, thetas: np.ndarray, S: float, T: float) -> np.ndarray:
+    """palm_profile for checked (n, dim_z) thetas, one phase column each."""
     if P.dim_q == 0:
-        if T > P.core_z + CORE_PAD:
-            raise InsufficientWindowError(
-                f"T={T:.6g} exceeds the trusted z-core {P.core_z:.6g}"
-            )
         norms = np.sqrt(np.sum(P.z * P.z, axis=1))
         zm = P.z[norms <= T + BALL_PAD]
         vol = ball_volume(P.dim_z, T)
@@ -229,18 +250,6 @@ def palm_profile(
             out[b0 : b0 + block] = (np.abs(vals.sum(axis=0) / vol) ** 2)[: len(th)]
             del vals  # one block of phases alive at a time
         return out
-    if S <= 0:
-        raise DegenerateBallError(
-            f"Palm radius S={S:.6g} must be positive on a fibered patch"
-        )
-    if S > P.core_q + CORE_PAD:
-        raise InsufficientWindowError(
-            f"S={S:.6g} exceeds the trusted q-core {P.core_q:.6g}"
-        )
-    if T > P.core_z + CORE_PAD:
-        raise InsufficientWindowError(
-            f"T={T:.6g} exceeds the trusted z-core {P.core_z:.6g}"
-        )
     order, bounds = fiber_partition(P)
     heads, sizes = order[bounds[:-1]], np.diff(bounds)
     kept = np.sqrt(np.sum(P.q[heads] * P.q[heads], axis=1)) <= S + BALL_PAD

@@ -193,6 +193,159 @@ def test_fibered_palm_forms_one_phase_per_distinct_z(h3_lattice, monkeypatch):
     assert sizes and max(sizes) <= 81
 
 
+def full_palm(P, thetas, S, T):
+    """Reference for palm_profile: one phase column for every theta row,
+    all in one block; fibered patches go through per_row_palm."""
+    thetas = np.asarray(thetas, dtype=float).reshape(-1, P.dim_z)
+    if P.dim_q:
+        return per_row_palm(P, thetas, S, T)
+    zm = P.z[np.sqrt(np.sum(P.z * P.z, axis=1)) <= T + BALL_PAD]
+    vals = sp._phase_columns(zm, thetas)
+    return (np.abs(vals.sum(axis=0) / ql.ball_volume(P.dim_z, T)) ** 2)[: len(thetas)]
+
+
+def float_line(n, seed):
+    """n random irrational points on the line, as a flat patch."""
+    z = np.random.default_rng(seed).uniform(-100.0, 100.0, (n, 1)) * math.sqrt(2.0)
+    return ql.make_patch(group=ql.abelian_group(1, 0), z=z, q=np.zeros((n, 0)),
+                         window_z=150.0, window_q=0.0, core_z=140.0, core_q=0.0)
+
+
+@pytest.fixture(scope="module")
+def line_scans():
+    """(patch, S, T) for the one-dimensional scans."""
+    return {
+        "silver": (ql.model_set_1d(1, 500.0), 0.0, 480.0),
+        "h3": (ql.integer_lattice_patch(ql.heisenberg_group(), 20.0, 5.0), 5.0, 17.3),
+        "float": (float_line(3000, 5), 0.0, 130.0),
+    }
+
+
+MIRROR_THETAS = {
+    "symmetric": sp._frequency_grid(1.0, 0.01)[:, 0],
+    "no mirror pairs": np.random.default_rng(7).uniform(0.01, 2.0, 37) * (-1.0) ** np.arange(37),
+    "repeated": np.array([0.3, 0.3, -0.3, 0.7, 0.3, -0.7, 0.7]),
+    "lone": np.array([0.37]),
+    "one pair": np.array([-0.37, 0.37]),
+    "signed zero": np.array([-0.0, 0.0, 0.25, -0.0]),
+}
+
+
+@pytest.mark.parametrize("case", list(MIRROR_THETAS))
+@pytest.mark.parametrize("name", ["silver", "h3", "float"])
+def test_palm_profile_per_abs_theta_keeps_every_byte(line_scans, name, case):
+    P, S, T = line_scans[name]
+    thetas = MIRROR_THETAS[case]
+    assert sp.palm_profile(P, thetas, S, T).tobytes() == full_palm(P, thetas, S, T).tobytes()
+
+
+@pytest.mark.parametrize("name", ["silver", "h3", "float"])
+def test_palm_profile_last_block_of_one_abs_theta(line_scans, name, monkeypatch):
+    P, S, T = line_scans[name]
+    thetas = np.linspace(-1.0, 1.0, 17)  # 9 distinct |theta|
+    blocks = []
+    phase_columns = sp._phase_columns
+
+    def recording(z, th, *args, **kw):
+        blocks.append(len(th))
+        return phase_columns(z, th, *args, **kw)
+
+    monkeypatch.setattr(sp, "_theta_block", lambda n: 4)
+    monkeypatch.setattr(sp, "_phase_columns", recording)
+    got = sp.palm_profile(P, thetas, S, T)
+    assert blocks == [4, 4, 1]
+    assert got.tobytes() == full_palm(P, thetas, S, T).tobytes()
+
+
+def test_one_d_scans_form_only_the_columns_and_rows_they_use(line_scans, monkeypatch):
+    shapes = []
+    phase_columns = sp._phase_columns
+
+    def recording(z, th, *args, **kw):
+        shapes.append((len(z), len(th)))
+        return phase_columns(z, th, *args, **kw)
+
+    monkeypatch.setattr(sp, "_phase_columns", recording)
+    k = 20
+    grid = sp._frequency_grid(1.0, 1.0 / k)  # 2k + 1 thetas, mirrored exactly
+    for name in ("silver", "h3"):
+        P, S, T = line_scans[name]
+        shapes.clear()
+        sp.palm_profile(P, grid, S, T)
+        assert shapes and sum(cols for _, cols in shapes) <= k + 1
+    silver = line_scans["silver"][0]
+    schedule = sp.default_schedule(100.0)
+    shapes.clear()
+    sp._twisted_densities(silver.z, grid, schedule, silver.core_z)
+    inside = np.count_nonzero(np.abs(silver.z[:, 0]) <= schedule[-1] + BALL_PAD)
+    assert shapes and max(rows for rows, _ in shapes) <= inside < silver.n
+
+
+def untrimmed_densities(fiber, thetas, schedule):
+    """Reference for _twisted_densities: phases for every row of the
+    fiber and every theta in one block, partial sums cut at the schedule.
+    Returns (partials, cauchy_tail, converged, n_points) per theta."""
+    z = np.asarray(fiber, dtype=float)
+    norms = np.sqrt(np.sum(z * z, axis=1))
+    order = np.lexsort(tuple(z.T[::-1]) + (norms,))
+    phases = np.exp(-2j * math.pi * (z[order] @ thetas.T))
+    cuts = np.searchsorted(norms[order], np.array(schedule) + BALL_PAD, side="right")
+    sums = np.concatenate([np.zeros((1, len(thetas))), np.cumsum(phases, axis=0)])[cuts]
+    vols = [ql.ball_volume(z.shape[1], T) for T in schedule]
+    start = min(3 * len(schedule) // 4, len(schedule) - 1)
+    out = []
+    for col in sums.T:
+        partials = [complex(total) / vol for total, vol in zip(col, vols)]
+        tail = max(abs(v - partials[-1]) for v in partials[start:])
+        conv = tail < max(sp.CONVERGENCE_REL * abs(partials[-1]), sp.CONVERGENCE_ABS)
+        out.append((partials, tail, conv, len(z)))
+    return out
+
+
+def density_cases():
+    rng = np.random.default_rng(11)
+    silver = ql.model_set_1d(1, 300.0)
+    line = float_line(3000, 3).z
+    plane = rng.uniform(-40.0, 40.0, (2000, 2))
+    spectrum_grid = sp._frequency_grid(1.0, 0.05)
+    return {
+        "silver spectrum, trimmed": (silver.z, spectrum_grid, sp.default_schedule(100.0), silver.core_z),
+        "silver spectrum, whole": (silver.z, spectrum_grid, sp.default_schedule(300.0), silver.core_z),
+        "float line": (line, rng.uniform(-2.0, 2.0, (40, 1)), sp.default_schedule(50.0), 140.0),
+        "float line, lone theta": (line, np.array([[-0.61]]), sp.default_schedule(50.0), 140.0),
+        "plane": (plane, rng.uniform(-1.0, 1.0, (30, 2)), sp.default_schedule(20.0), 40.0),
+        "plane, lone theta": (plane, np.array([[0.3, -0.7]]), sp.default_schedule(20.0), 40.0),
+        "no row within the schedule": (np.array([[50.0], [-60.0]]), np.array([[0.2], [-0.2]]), [1.0, 2.0], 70.0),
+    }
+
+
+@pytest.mark.parametrize("case", list(density_cases()))
+def test_twisted_densities_match_the_untrimmed_sums(case):
+    fiber, thetas, schedule, core = density_cases()[case]
+    got = sp._twisted_densities(fiber, thetas, schedule, core)
+    ref = untrimmed_densities(fiber, thetas, schedule)
+    assert len(got) == len(ref)
+    for est, (partials, tail, conv, n_points) in zip(got, ref):
+        vals = np.array([est.value] + [v for _, v in est.partials])
+        want = np.array([partials[-1]] + partials)
+        assert vals.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(vals.view(float)), np.signbit(want.view(float)))
+        assert [T for T, _ in est.partials] == list(schedule) and est.T_final == schedule[-1]
+        assert np.float64(est.cauchy_tail).tobytes() == np.float64(tail).tobytes()
+        assert est.converged == conv and est.n_points == n_points
+
+
+def test_twisted_densities_keep_a_positive_zero_at_negative_theta():
+    # The symmetric silver patch cancels every imaginary sum exactly.  Taking
+    # D at -theta as the conjugate of D at |theta| would turn these +0 into
+    # -0, and CLI spectrum would print im_D as -0.
+    P = ql.model_set_1d(1, 20.0)
+    grid = sp._frequency_grid(1.0, 0.05)
+    ests = sp._twisted_densities(P.z, grid, sp.default_schedule(20.0), P.core_z)
+    imag = np.array([e.value.imag for e, theta in zip(ests, grid[:, 0]) if theta < 0])
+    assert len(imag) == 20 and np.all(imag == 0.0) and not np.signbit(imag).any()
+
+
 def test_palm_profile_checks_the_theta_width(h3_lattice):
     with pytest.raises(ValueError):
         sp.palm_coefficient(h3_lattice, sp.character(0.3, 0.7), 3.0, 10.0)
@@ -377,11 +530,12 @@ def test_sampled_function_container():
 ], ids=["flat", "fibered"])
 def test_palm_profile_holds_one_theta_block_at_a_time(P, S, T):
     # Many blocks may not need more memory than one: each block's phases
-    # are freed before the next block forms its own.
+    # are freed before the next block forms its own.  The thetas have
+    # distinct magnitudes, so palm_profile forms a column for each.
     block = sp._theta_block(P.n)
     peaks = []
     for n_blocks in (1, 4):
-        thetas = np.linspace(-1.0, 1.0, n_blocks * block)
+        thetas = np.linspace(0.0, 1.0, n_blocks * block)
         tracemalloc.start()
         try:
             sp.palm_profile(P, thetas, S, T)
