@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     BoundaryUnsoundError,
@@ -28,9 +27,10 @@ from .pointset import (
     BOUNDARY_PAD,
     ExactCoords,
     PointPatch,
+    _axis,
     _grid_rows,
     _is_symmetric_with_identity,
-    covering_radius,
+    _nearest_distance,
     group_rows,
     make_patch,
     min_gap,
@@ -262,7 +262,7 @@ def check_symplectic_condition(
         witness = tuple(triples.take(missing[:1]).embed_z()[0].tolist()) if missing else None
     else:
         uniq = np.unique(triple, axis=0)
-        dist = cKDTree(sum_patch.z).query(uniq)[0] if sum_patch.n else np.full(len(uniq), np.inf)
+        dist = _nearest_distance(sum_patch.z, uniq) if sum_patch.n else np.full(len(uniq), np.inf)
         bad = np.flatnonzero(dist > MATCH_TOL)
         witness = tuple(uniq[bad[0]].tolist()) if len(bad) else None
     return ConditionReport(
@@ -378,9 +378,9 @@ def alignment_report(
     h: float = 0.01,
     z_radius: Optional[float] = None,
 ) -> AlignmentReport:
-    """Classify every fiber over the q-core as essential (covering
-    estimate at most R_threshold on the z probe box) or not, and report
-    the projection's minimum gap alongside.
+    """Classify every fiber over the q-core as essential (the flat
+    covering_radius estimate of the fiber over the z probe box is at most
+    R_threshold) or not, and report the projection's minimum gap alongside.
     """
     if P.dim_q == 0 or P.dim_z == 0:
         raise ValueError("alignment needs both a z block and a q block")
@@ -396,17 +396,13 @@ def alignment_report(
     order, starts = _core_fibers(P)
     if len(order) == 0:
         raise InsufficientWindowError("no points over the q-core")
-    bounds = np.append(starts, len(order))
-    flat = abelian_group(P.dim_z, 0)
+    if z_radius < 0:
+        raise ValueError("probe radii must be non-negative")
+    probes, slack = _grid_rows([_axis(z_radius, h)] * P.dim_z, "probes"), h * math.sqrt(P.dim_z) / 2.0
     reports: list[FiberReport] = []
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        rows = order[s:e]
+    for rows in np.split(order, starts[1:]):
         delta = tuple(float(v) for v in P.q[rows[0]])
-        fiber_patch = PointPatch(
-            group=flat, z=P.z[rows], q=np.zeros((len(rows), 0)),
-            window_z=P.window_z, window_q=0.0, core_z=z_radius, core_q=0.0,
-        )
-        est = covering_radius(fiber_patch, h=h).estimate
+        est = float(_nearest_distance(P.z[rows], probes).max()) + slack
         reports.append(
             FiberReport(
                 delta=delta,

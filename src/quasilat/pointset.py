@@ -16,7 +16,6 @@ from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     BoundaryUnsoundError,
@@ -632,14 +631,30 @@ def translate(p: PointPatch, g_elt: GroupElement) -> PointPatch:
     )
 
 
+def _kd_tree(points: np.ndarray):
+    """KD-tree over the rows of points; scipy loads on the first call."""
+    from scipy.spatial import cKDTree
+    return cKDTree(points)
+
+
+def _nearest_distance(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Distance from each query row to the nearest point row.  One column is sorted and
+    searched: |d| is the KD-tree's sqrt(d * d) bit for bit unless d * d under/overflows."""
+    if points.shape[1] != 1:
+        return _kd_tree(points).query(queries)[0]
+    vals, x = np.sort(points[:, 0]), queries[:, 0]
+    i = np.searchsorted(vals, x)
+    left, right = vals[np.maximum(i - 1, 0)], vals[np.minimum(i, len(vals) - 1)]
+    return np.minimum(np.abs(x - left), np.abs(right - x))
+
+
 def _flat_min_gap(coords: np.ndarray) -> float:
     if len(coords) < 2:
         return math.inf
     if coords.shape[1] == 1:
         vals = np.sort(coords[:, 0])
         return float(np.min(np.diff(vals)))
-    tree = cKDTree(coords)
-    dist, _ = tree.query(coords, k=2)
+    dist, _ = _kd_tree(coords).query(coords, k=2)
     return float(np.min(dist[:, 1]))
 
 
@@ -731,10 +746,11 @@ def covering_radius(
     if not flat:
         check_size("mixed_probes", n_probes * p.n)
     probes = _grid_rows(axes, "probes")
-    grid_max = float(_nearest_in_patch(p, probes[:, : g.dim_z], probes[:, g.dim_z :])[1].max())
     if flat:
+        grid_max = float(_nearest_distance(p.z if g.dim_q == 0 else p.q, probes).max())
         slack = h * math.sqrt(g.dim_z or g.dim_q) / 2.0
     else:
+        grid_max = float(_nearest_in_patch(p, probes[:, : g.dim_z], probes[:, g.dim_z :])[1].max())
         # Probe offsets: q moves h*sqrt(dq)/2, z moves hz*sqrt(dz)/2 plus the
         # commutator drift from recentering at a probe with |q| <= q_radius.
         dz_off = hz * math.sqrt(g.dim_z) / 2.0
@@ -828,7 +844,7 @@ def _nearest_in_patch(
     if not exclude_self and (g.dim_q == 0 or g.dim_z == 0):
         # One block only: the gauge is its Euclidean norm.
         pts, rows = (p.z, z) if g.dim_q == 0 else (p.q, q)
-        dist, idx = cKDTree(pts).query(rows)
+        dist, idx = _kd_tree(pts).query(rows)
         return np.atleast_1d(idx), np.atleast_1d(dist)
     m = len(z)
     idx = np.empty(m, dtype=np.int64)

@@ -18,13 +18,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .cutproject import fiber as extract_fiber
 from .cutproject import project
 from .errors import DegenerateBallError, InsufficientWindowError
 from .group import Cocycle, GroupElement, abelian_group, ball_volume
-from .pointset import BALL_PAD, CORE_PAD, PointPatch, _axis, _grid_rows, _quant_keys, group_rows, make_patch, translate
+from .pointset import BALL_PAD, CORE_PAD, PointPatch, _axis, _grid_rows, _nearest_distance, _quant_keys, group_rows, make_patch, translate
 
 CONVERGENCE_ABS = 1e-3
 CONVERGENCE_REL = 0.05
@@ -401,8 +400,7 @@ def _max_gap(picked: np.ndarray, grid: np.ndarray) -> float:
         return math.inf
     if grid.shape[1] == 1:
         return float(np.max(np.diff(np.sort(picked[:, 0]))))
-    dist, _ = cKDTree(picked).query(grid)
-    return 2.0 * float(dist.max())
+    return 2.0 * float(_nearest_distance(picked, grid).max())
 
 
 @dataclass(frozen=True)

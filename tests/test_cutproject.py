@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 import quasilat as ql
-from quasilat.errors import InsufficientWindowError, ThresholdTooSmallError
+import quasilat.cutproject as cp
+import quasilat.pointset as ps
+from quasilat.errors import (
+    SIZE_CAPS,
+    BoundaryUnsoundError,
+    InsufficientWindowError,
+    SizeLimitError,
+    ThresholdTooSmallError,
+)
 
 
 @pytest.fixture(scope="module")
@@ -144,12 +152,16 @@ def test_alignment_report_full_product(split):
     assert all(f.covering_estimate <= 1.0 for f in rep.fibers)
 
 
-def test_enforce_uniform_fibers_restores_alignment(split):
-    H, Xi, De, P = split
-    # hollow out one fiber pair to a single point each
+def one_point_fibers(P):
+    """P with the fibers over (+-2, 0) hollowed out to the single point z = 0."""
     hit = (np.abs(np.abs(P.q[:, 0]) - 2.0) < 1e-9) & (
         np.abs(P.q[:, 1]) < 1e-9) & (np.abs(P.z[:, 0]) > 1e-9)
-    reduced = P.take(np.flatnonzero(~hit))
+    return P.take(np.flatnonzero(~hit))
+
+
+def test_enforce_uniform_fibers_restores_alignment(split):
+    H, Xi, De, P = split
+    reduced = one_point_fibers(P)
     assert not ql.alignment_report(reduced, 1.0).uniformly_large
     repaired = ql.enforce_uniform_fibers(reduced, 1.0)
     rep = ql.alignment_report(repaired, 1.0)
@@ -190,7 +202,8 @@ def test_cartesian_flat_concatenates_exactly():
     assert got == want
 
 
-def test_enforce_uniform_fibers_keeps_float_key_fibers_whole():
+def float_key_square():
+    """A float-key H3 patch and its square, clipped to the patch boxes."""
     H = ql.heisenberg_group()
     q_axis = 0.1 * np.arange(-3, 4)
     zs, q0, q1 = np.meshgrid(np.arange(-8, 9), q_axis, q_axis, indexing="ij")
@@ -201,6 +214,11 @@ def test_enforce_uniform_fibers_keeps_float_key_fibers_whole():
     square = ql.minkowski(P, P).restrict(z_box=P.window_z, q_box=P.window_q)
     square = square.take(np.arange(square.n), core_z=min(P.core_z, square.window_z),
                          core_q=min(P.core_q, square.window_q))
+    return P, square
+
+
+def test_enforce_uniform_fibers_keeps_float_key_fibers_whole():
+    P, square = float_key_square()
     rep = ql.alignment_report(square, 1.5, h=0.05)
     assert len(rep.fibers) == 49 and rep.uniformly_large
     over_core = int(np.count_nonzero(np.all(np.abs(square.q) <= square.core_q + 1e-12, axis=1)))
@@ -208,3 +226,89 @@ def test_enforce_uniform_fibers_keeps_float_key_fibers_whole():
     # the q floats of one fiber differ in the last bit in most fibers
     kept = ql.enforce_uniform_fibers(P, 1.5, h=0.05)
     assert kept.n == over_core == sum(f.cardinality for f in rep.fibers)
+
+
+def per_fiber_alignment(P, R_threshold, h=0.01, z_radius=None):
+    """Reference for alignment_report: one flat patch per fiber over the
+    q-core, covered by covering_radius with a KD-tree nearest search."""
+    from scipy.spatial import cKDTree
+
+    z_radius = P.core_z if z_radius is None else z_radius
+    order, starts = cp._core_fibers(P)
+    flat = ql.abelian_group(P.dim_z, 0)
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ps, "_nearest_distance", lambda pts, rows: cKDTree(pts).query(rows)[0])
+        for rows in np.split(order, starts[1:]):
+            fib = ql.PointPatch(group=flat, z=P.z[rows], q=np.zeros((len(rows), 0)),
+                                window_z=P.window_z, window_q=0.0, core_z=z_radius, core_q=0.0)
+            est = ql.covering_radius(fib, h=h).estimate
+            out.append((tuple(float(v) for v in P.q[rows[0]]), len(rows), est.hex(), bool(est <= R_threshold)))
+    return out
+
+
+def fiber_rows(rep):
+    return [(f.delta, f.cardinality, f.covering_estimate.hex(), f.essential) for f in rep.fibers]
+
+
+def edge_fibers():
+    """Fibers over q = -1, 0, 1 with h = 0.25 and z probes -2..2: one point
+    alone, repeated z values, points on probes, at probe midpoints (also
+    equidistant from two points) and at and beyond both ends of the box."""
+    fibers = [
+        [0.3],
+        [-1.0, -1.0, 0.5, 0.5, 0.5, 1.75],
+        [-2.5, -2.0, -0.375, 0.125, 0.625, 1.875, 2.0, 2.125],
+    ]
+    z = np.array([v for f in fibers for v in f]).reshape(-1, 1)
+    q = np.array([[float(j - 1), 0.0] for j, f in enumerate(fibers) for _ in f])
+    # PointPatch, not make_patch: the repeated points stay repeated.
+    return ql.PointPatch(group=ql.heisenberg_group(), z=z, q=q,
+                         window_z=3.0, window_q=1.0, core_z=2.0, core_q=1.0)
+
+
+@pytest.mark.parametrize("case", ["h3", "h3-inner-box", "float-keys", "split", "one-point", "edges"])
+def test_alignment_report_equals_the_per_fiber_covering_loop(case, split):
+    H, Xi, De, SP = split
+    P, R, h, z_radius = {
+        "h3": lambda: (ql.integer_lattice_patch(H, 18.0, 4.0), 1.0, 0.01, None),
+        "h3-inner-box": lambda: (ql.integer_lattice_patch(H, 12.0, 3.0), 0.6, 0.037, 7.3),
+        "float-keys": lambda: (float_key_square()[1], 1.5, 0.05, None),
+        "split": lambda: (SP, 1.0, 0.01, None),
+        "one-point": lambda: (one_point_fibers(SP), 1.0, 0.01, None),
+        "edges": lambda: (edge_fibers(), 1.0, 0.25, None),
+    }[case]()
+    rep = ql.alignment_report(P, R, h=h, z_radius=z_radius)
+    want = per_fiber_alignment(P, R, h=h, z_radius=z_radius)
+    assert fiber_rows(rep) == want
+    if case == "one-point":
+        assert min(f.cardinality for f in rep.fibers) == 1 and not rep.uniformly_large
+    if case == "edges":
+        assert [f.cardinality for f in rep.fibers] == [1, 6, 8]
+
+
+def test_alignment_report_refusals(split, monkeypatch):
+    H, Xi, De, P = split
+    calls = {"grid": 0, "fiber": 0}
+    grid, nearest = cp._grid_rows, cp._nearest_distance
+
+    def counted_grid(*args):
+        calls["grid"] += 1
+        return grid(*args)
+
+    def counted_nearest(*args):
+        calls["fiber"] += 1
+        return nearest(*args)
+
+    monkeypatch.setattr(cp, "_grid_rows", counted_grid)
+    monkeypatch.setattr(cp, "_nearest_distance", counted_nearest)
+    with pytest.raises(SizeLimitError) as exc:
+        ql.alignment_report(P, 1.0, h=1e-320)
+    assert str(exc.value).startswith(SIZE_CAPS["probes"][1])
+    assert calls == {"grid": 1, "fiber": 0}
+    # A negative box would otherwise make an empty probe grid.
+    with pytest.raises(ValueError, match="probe radii must be non-negative"):
+        ql.alignment_report(P, -1.0, z_radius=-0.5)
+    with pytest.raises(BoundaryUnsoundError):
+        ql.alignment_report(P, 1.0, z_radius=P.core_z + 1e-6)
+    assert calls["fiber"] == 0

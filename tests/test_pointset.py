@@ -573,6 +573,24 @@ def test_nearest_in_patch_matches_scalar_loop():
     assert np.array_equal(loop[np.arange(len(probes)), idx], dist)
 
 
+@pytest.mark.parametrize("points, queries", [
+    ([0.3], [-1.0, 0.3, 2.0]),
+    ([-1.0, -1.0, 0.5, 0.5, 1.75], np.arange(-8, 9) * 0.25),
+    # queries on points, at midpoints, and beyond both ends
+    ([-2.0, -0.375, 0.125, 2.0], [-2.5, -2.0, -0.125, 0.0, 0.125, 1.0625, 2.0, 2.125]),
+    (np.random.default_rng(3).uniform(-50, 50, 400), np.random.default_rng(4).uniform(-60, 60, 3000)),
+    (ql.model_set_1d(1, 40.0).z[:, 0], np.arange(-4000, 4001) * 0.01),
+])
+def test_nearest_distance_in_one_dimension_equals_the_kd_tree_bit_for_bit(points, queries):
+    from scipy.spatial import cKDTree
+
+    from quasilat.pointset import _nearest_distance
+
+    pts = np.asarray(points, dtype=float).reshape(-1, 1)
+    rows = np.asarray(queries, dtype=float).reshape(-1, 1)
+    assert _nearest_distance(pts, rows).tobytes() == cKDTree(pts).query(rows)[0].tobytes()
+
+
 def test_approximate_group_cover_heisenberg_lattice():
     P = small_h3_patch(window_z=2.0, window_q=1.0)
     rep = ql.approximate_group_cover(P)
