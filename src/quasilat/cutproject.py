@@ -382,6 +382,13 @@ def alignment_report(
     covering_radius estimate of the fiber over the z probe box is at most
     R_threshold) or not, and report the projection's minimum gap alongside.
     """
+    return _aligned_fibers(P, R_threshold, h, z_radius)[0]
+
+
+def _aligned_fibers(
+    P: PointPatch, R_threshold: float, h: float, z_radius: Optional[float]
+) -> tuple[AlignmentReport, np.ndarray, np.ndarray]:
+    """alignment_report with the _core_fibers (order, starts) it classified."""
     if P.dim_q == 0 or P.dim_z == 0:
         raise ValueError("alignment needs both a z block and a q block")
     z_radius = P.core_z if z_radius is None else float(z_radius)
@@ -412,7 +419,7 @@ def alignment_report(
             )
         )
     ess = sum(1 for r in reports if r.essential)
-    return AlignmentReport(
+    rep = AlignmentReport(
         projection_min_gap=gap,
         fibers=tuple(reports),
         uniformly_large=bool(ess == len(reports)),
@@ -421,6 +428,7 @@ def alignment_report(
         z_radius=z_radius,
         h=h,
     )
+    return rep, order, starts
 
 
 def enforce_uniform_fibers(P: PointPatch, R: float, h: float = 0.01) -> PointPatch:
@@ -438,8 +446,7 @@ def enforce_uniform_fibers(P: PointPatch, R: float, h: float = 0.01) -> PointPat
         np.arange(square.n), core_z=min(P.core_z, square.window_z),
         core_q=min(P.core_q, square.window_q),
     )
-    rep = alignment_report(square, R, h=h)
-    order, starts = _core_fibers(square)
+    rep, order, starts = _aligned_fibers(square, R, h, None)
     sizes = np.diff(np.append(starts, len(order)))
     keep = np.sort(order[np.repeat([r.essential for r in rep.fibers], sizes)])
     if len(keep) == 0:

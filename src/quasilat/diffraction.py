@@ -22,7 +22,7 @@ from .errors import DegenerateDensityError, InsufficientWindowError, WindowShort
 from .group import ball_volume, gauge_ball_volume
 from .pointset import (
     BALL_PAD, CORE_PAD, QUANT, SEARCH_PAD, ExactCoords, PointPatch,
-    _as_block, _expand_ranges, _fiber_index, _mixed_radix, _pair_pieces, _quant_keys, group_rows,
+    _as_block, _expand_ranges, _fiber_index, _interleave, _mixed_radix, _pair_pieces, _quant_keys, group_rows,
 )
 from .spectral import (
     Character,
@@ -75,26 +75,38 @@ class WeightedPointMeasure:
         return float(self.weights[idx].sum()) if len(idx) else 0.0
 
 
+_DENSE_SPAN = 4  # count packed keys in a table when their span is at most this many times the rows
+
+
 def _aggregate_keys(
-    cols: Sequence[np.ndarray], counts: Optional[np.ndarray] = None
+    cols: Sequence[np.ndarray], counts: Optional[np.ndarray] = None, radix: Optional[tuple] = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sum counts (one per row when omitted) over equal rows of the integer
-    key columns; returns (unique rows in lexicographic order, summed counts)."""
-    radix = _mixed_radix(cols)
+    key columns; returns (unique rows in lexicographic order, summed counts).
+    radix is (packed, lows, spans) when the caller has packed the columns.
+    Packed keys are counted in a table when their span is at most
+    _DENSE_SPAN times the rows, and sorted otherwise."""
+    radix = radix or _mixed_radix(cols)
     if radix is None:
         keys = np.column_stack(cols)
         order, starts = group_rows(keys)
         counts = np.ones(len(keys), dtype=np.int64) if counts is None else counts
         return keys[order[starts]], np.add.reduceat(counts[order], starts)
-    # np.unique needs no stable order, so it sorts the packed keys faster still.
     packed, lo, spans = radix
-    if counts is None:
+    span = math.prod(spans)
+    if span <= _DENSE_SPAN * len(packed):
+        # Every count is positive, so the keys present are the nonzero bins.
+        summed = np.bincount(packed, counts, span)
+        packed = np.flatnonzero(summed)
+        summed = summed[packed]
+    elif counts is None:
+        # np.unique needs no stable order, so it sorts the packed keys faster still.
         packed, summed = np.unique(packed, return_counts=True)
     else:
         packed, inverse = np.unique(packed, return_inverse=True)
         summed = np.bincount(inverse, weights=counts, minlength=len(packed))
-    uniq = np.empty((len(packed), len(cols)), dtype=np.int64)
-    for k in range(len(cols) - 1, -1, -1):
+    uniq = np.empty((len(packed), len(spans)), dtype=np.int64)
+    for k in range(len(spans) - 1, -1, -1):
         packed, uniq[:, k] = np.divmod(packed, spans[k])
     return uniq + np.array(lo, dtype=np.int64), summed.astype(np.int64)
 
@@ -105,6 +117,24 @@ def _norm(cols: Sequence[np.ndarray]) -> np.ndarray:
     return np.abs(cols[0]) if len(cols) == 1 else np.sqrt(sum(c * c for c in cols))
 
 
+def _pair_radix(zk: np.ndarray, shifts: Sequence[np.ndarray]):
+    """One int64 key per pair for the (neighbour slot, dz) columns of the
+    exact pairs, dz = zk[y] - zk[x] - shift[slot], as pt[y] + base[slot] -
+    pt[x] with the base of each x-fiber's shifts.  Returns (pt, bases, lows,
+    spans), or None when the spans, bounded from the extents of zk and of
+    the shifts, multiply past 2**62."""
+    sh = np.concatenate(shifts)
+    z_lo, z_hi, s_lo, s_hi = (v.tolist() for v in (zk.min(0), zk.max(0), sh.min(0), sh.max(0)))
+    spans = [max(map(len, shifts))] + [2 * (b - a) + d - c + 1 for a, b, c, d in zip(z_lo, z_hi, s_lo, s_hi)]
+    if math.prod(spans) > 2**62:
+        return None
+    strides = np.cumprod(np.array([1] + spans[:0:-1], dtype=np.int64))[::-1]
+    # Each digit sum stays inside its span, so no int64 intermediate wraps.
+    top = np.array(z_hi, dtype=np.int64) - z_lo
+    bases = [np.arange(len(s)) * strides[0] + (top + (s_hi - s)) @ strides[1:] for s in shifts]
+    return (zk - z_lo) @ strides[1:], bases, [0] + [a - b - d for a, b, d in zip(z_lo, z_hi, s_hi)], spans
+
+
 def _window_autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedPointMeasure:
     """Autocorrelation of a flat or mixed patch, any central dimension.
 
@@ -112,10 +142,14 @@ def _window_autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedP
     a flat patch is one fiber.  Each x-fiber i pairs with every fiber j
     whose delta lies within range, through one sorted-window search on
     the first central coordinate around z_x + beta(delta_i, delta_j) over
-    all of them at once (|dz_0| <= |dz|, so the window drops no pair).
-    Pairs are kept by the norm of the whole z block and counted by
-    (neighbour, z-key), a piece of about _PAIR_CHUNK pairs at a time,
-    before the q-keys are attached, so memory stays per piece.
+    all of them at once.  z_0 ascends in a fiber and (v - a) - b is
+    monotone in v, so the pairs with |dz_0| within range form one run of
+    each window: the window is trimmed to it, and only dim_z >= 2 filters
+    pairs, by the norm of the whole z block (|dz_0| <= |dz|).  Exact keys
+    are packed once per point and once per query, so a pair's key is one
+    sum (key columns remain for float keys and spans past 2**62).  Pairs
+    are counted by (neighbour, z-key), a piece of about _PAIR_CHUNK pairs
+    at a time, before the q-keys are attached, so memory stays per piece.
     """
     g = P.group
     n, dim_z = P.n, P.dim_z
@@ -128,20 +162,27 @@ def _window_autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedP
     x_norms = _norm(zs)
     heads = order[starts]
     deltas = P.q[heads]
+    plan = []  # (x-fiber, its rows in the ball, the fibers within range of it)
+    for fi in np.flatnonzero(np.sqrt(np.sum(deltas * deltas, axis=1)) <= T + BALL_PAD):
+        xs = np.arange(bounds[fi], bounds[fi + 1])
+        dq = deltas - deltas[fi]
+        nb = np.flatnonzero(np.sqrt(np.sum(dq * dq, axis=1)) <= range_ + BALL_PAD)
+        plan.append((fi, xs[x_norms[xs] <= t_z + BALL_PAD], nb))
     exact_mode = P.exact is not None and g.cocycle.is_integral
+    radix = None
     if exact_mode:
         # One (a, b) pair per z coordinate, in the ExactCoords.key_matrix layout.
-        z_exact = [v[order, k] for k in range(dim_z) for v in (P.exact.za, P.exact.zb)]
-        head_qa, head_qb = P.exact.qa[heads], P.exact.qb[heads]
+        zk = _interleave(P.exact.za, P.exact.zb)[order]
+        qa, qb = P.exact.qa[heads], P.exact.qb[heads]
+        shifts = [_interleave(*g.cocycle.beta_exact(qa[fi], qb[fi], qa[nb], qb[nb], P.exact.d)) for fi, _, nb in plan]
         head_keys = P.q_key_matrix[heads]
+        radix = _pair_radix(zk, shifts) if plan else None
+    if radix is not None:
+        pt, bases, lows, spans = radix
     width = 2 * (dim_z + P.dim_q) if exact_mode else dim_z + P.dim_q
     all_keys = [np.zeros((0, width), dtype=np.int64)]
     all_counts = [np.zeros(0, dtype=np.int64)]
-    for fi in np.flatnonzero(np.sqrt(np.sum(deltas * deltas, axis=1)) <= T + BALL_PAD):
-        xs = np.arange(bounds[fi], bounds[fi + 1])
-        xs = xs[x_norms[xs] <= t_z + BALL_PAD]
-        dq = deltas - deltas[fi]
-        nb = np.flatnonzero(np.sqrt(np.sum(dq * dq, axis=1)) <= range_ + BALL_PAD)
+    for f, (fi, xs, nb) in enumerate(plan):
         # One query per (neighbour fiber, x point): the neighbour's slot in
         # nb and the x row src in zs.  Neighbour-major, so a piece of pairs
         # spans few neighbours and pieces share few (neighbour, z) keys.
@@ -151,24 +192,33 @@ def _window_autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedP
         z0 = zs[0][src] + c[:, 0]
         lo = window_edge(nb[slot], z0 - w - SEARCH_PAD, "left")
         hi = window_edge(nb[slot], z0 + w + SEARCH_PAD, "right")
-        if exact_mode:
-            ca, cb = g.cocycle.beta_exact(head_qa[fi], head_qb[fi], head_qa[nb], head_qb[nb], P.exact.d)
-            shift = [cv[slot, k] for k in range(dim_z) for cv in (ca, cb)]
-            x_exact = [v[src] + sh for v, sh in zip(z_exact, shift)]
-            q_keys = head_keys[nb] - head_keys[fi]
-        else:
-            q_keys = _quant_keys(dq[nb])
+        # Step both ends of every window inwards past the pairs whose dz_0,
+        # formed as below, is out of range: only points in the pad band.
+        for end, off, step in ((lo, 0, 1), (hi, -1, -1)):
+            act = np.flatnonzero(lo < hi)
+            while len(act):
+                act = act[~(np.abs(zs[0][end[act] + off] - zs[0][src[act]] - c[act, 0]) <= w + BALL_PAD)]
+                end[act] += step
+                act = act[lo[act] < hi[act]]
+        if radix is not None:
+            qo = bases[f][slot] - pt[src]
+        elif exact_mode:
+            x_exact = zk[src] + shifts[f][slot]
+        q_keys = head_keys[nb] - head_keys[fi] if exact_mode else _quant_keys(deltas[nb] - deltas[fi])
         for s, e in _pair_pieces(hi - lo):
             rows, cols = _expand_ranges(lo[s:e], hi[s:e])
             rows += s
-            dz = [zk[cols] - zk[src[rows]] - c[rows, k] for k, zk in enumerate(zs)]
-            keep = _norm(dz) <= w + BALL_PAD
-            rows, cols = rows[keep], cols[keep]
-            if exact_mode:
-                z_keys = [v[cols] - x[rows] for v, x in zip(z_exact, x_exact)]
+            if dim_z > 1 or not exact_mode:
+                dz = [zc[cols] - zc[src[rows]] - c[rows, k] for k, zc in enumerate(zs)]
+            if dim_z > 1:
+                keep = _norm(dz) <= w + BALL_PAD
+                rows, cols, dz = rows[keep], cols[keep], [dk[keep] for dk in dz]
+            if radix is not None:
+                uniq, cnt = _aggregate_keys((), radix=(qo[rows] + pt[cols], lows, spans))
+            elif exact_mode:
+                uniq, cnt = _aggregate_keys([slot[rows], *(zk[cols] - x_exact[rows]).T])
             else:
-                z_keys = [_quant_keys(dk[keep]) for dk in dz]
-            uniq, cnt = _aggregate_keys([slot[rows], *z_keys])
+                uniq, cnt = _aggregate_keys([slot[rows], *map(_quant_keys, dz)])
             all_keys.append(np.column_stack([uniq[:, 1:], q_keys[uniq[:, 0]]]))
             all_counts.append(cnt)
     keys, counts = _aggregate_keys(list(np.concatenate(all_keys).T), np.concatenate(all_counts))

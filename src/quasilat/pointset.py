@@ -132,8 +132,8 @@ def _mixed_radix(cols: Sequence[np.ndarray]) -> Optional[tuple[np.ndarray, list[
     spans = [int(col.max(initial=0)) - b + 1 for col, b in zip(cols, lows)]
     if math.prod(spans) > 2**62:
         return None
-    packed = np.zeros(len(cols[0]), dtype=np.int64)
-    for col, b, span in zip(cols, lows, spans):
+    packed = np.subtract(cols[0], lows[0], dtype=np.int64)
+    for col, b, span in zip(cols[1:], lows[1:], spans[1:]):
         packed *= span
         packed += col
         packed -= b

@@ -159,11 +159,16 @@ def one_point_fibers(P):
     return P.take(np.flatnonzero(~hit))
 
 
-def test_enforce_uniform_fibers_restores_alignment(split):
+def test_enforce_uniform_fibers_restores_alignment(split, monkeypatch):
     H, Xi, De, P = split
     reduced = one_point_fibers(P)
     assert not ql.alignment_report(reduced, 1.0).uniformly_large
+    calls, core_fibers = [], cp._core_fibers
+    monkeypatch.setattr(cp, "_core_fibers", lambda Q: calls.append(Q) or core_fibers(Q))
     repaired = ql.enforce_uniform_fibers(reduced, 1.0)
+    # the report and the rows it keeps come from one fiber pass over the square
+    assert len(calls) == 1
+    monkeypatch.undo()
     rep = ql.alignment_report(repaired, 1.0)
     assert rep.uniformly_large
     # the surviving fibers each still carry a full interval of points

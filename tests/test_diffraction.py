@@ -4,10 +4,13 @@ import hashlib
 import math
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quasilat as ql
 import quasilat.diffraction as df
@@ -18,7 +21,7 @@ from quasilat.errors import (
     InsufficientWindowError,
     WindowShortfallError,
 )
-from quasilat.pointset import QUANT
+from quasilat.pointset import BALL_PAD, QUANT, SEARCH_PAD, ExactCoords, _quant_keys
 
 S2 = math.sqrt(2.0)
 
@@ -189,10 +192,11 @@ def test_float_key_autocorrelation_matches_group_law(case):
     _assert_float_atoms(eta, brute)
 
 
-def test_window_search_is_exact_far_from_the_origin():
-    # 30 fibers over a z window of 2e6: a float offset of fiber * span
-    # would have an ulp above the 1e-9 search pad.  Each neighbour fiber
-    # holds points exactly at |dz - c| = range^2 from every x point.
+def _far_boundary_patch(offsets=(0.0,)):
+    """30 fibers over a z window of 2e6: a float offset of fiber * span
+    would have an ulp above the 1e-9 search pad.  Each neighbour fiber
+    holds points at |dz - c| = range^2 + offset from every x point, for
+    each offset.  Returns (patch, T, range)."""
     H = ql.heisenberg_group()
     T, range_ = 1.0, 2.1
     fibers = [(a, b) for a in range(-2, 3) for b in range(-2, 4)]
@@ -205,11 +209,16 @@ def test_window_search_is_exact_far_from_the_origin():
             for qj in fibers:
                 if math.hypot(qj[0] - qi[0], qj[1] - qi[1]) <= range_:
                     c = float(H.cocycle.beta(np.array(qi, float), np.array(qj, float))[0])
-                    pts[qj] += [z1 + c - range_ ** 2, z1 + c + range_ ** 2]
+                    pts[qj] += [z1 + c + s * (range_ ** 2 + o) for o in offsets for s in (-1, 1)]
     z = np.array([[v] for f in fibers for v in pts[f]])
     q = np.array([f for f in fibers for _ in pts[f]], dtype=float)
     P = ql.make_patch(group=H, z=z, q=q, window_z=2e6, window_q=3.1,
                       core_z=2e6, core_q=3.1, provenance="boundary pairs")
+    return P, T, range_
+
+
+def test_window_search_is_exact_far_from_the_origin():
+    P, T, range_ = _far_boundary_patch()
     brute = _quantized_pair_counts(P, T, range_)
     assert sum(brute.values()) > 2 * 30 * 13
     _assert_float_atoms(df.autocorrelation(P, T, range_), brute)
@@ -266,6 +275,237 @@ def test_autocorrelation_pairs_are_formed_a_piece_at_a_time():
                  (eta.exact.zb, whole.exact.zb)]:
         assert a.tobytes() == b.tobytes()
 
+
+def _lex_count(keys, counts):
+    """Unique rows of an integer key matrix, by a plain lexsort, with
+    their summed counts."""
+    if not len(keys):
+        return keys, counts
+    order = np.lexsort(keys.T[::-1])
+    keys, counts = keys[order], counts[order]
+    starts = np.flatnonzero(np.append(True, np.any(keys[1:] != keys[:-1], axis=1)))
+    return keys[starts], np.add.reduceat(counts, starts)
+
+
+def _reference_autocorrelation(P, T, range_):
+    """The per-pair filter the kernel's trimmed windows and packed keys
+    replace: every pair of each window is formed, kept by the norm of its
+    dz and keyed by one column per coordinate, then counted by lexsort."""
+    g, dim_z = P.group, P.dim_z
+    t_z, w = (T, range_) if P.dim_q == 0 else (T * T, range_ * range_)
+    order, starts, window_edge = pointset._fiber_index(P.q_key_matrix, P.z[:, 0])
+    bounds = np.append(starts, P.n)
+    zs = [P.z[order, k] for k in range(dim_z)]
+    x_norms = df._norm(zs)
+    heads = order[starts]
+    deltas = P.q[heads]
+    exact_mode = P.exact is not None and g.cocycle.is_integral
+    if exact_mode:
+        z_exact = [v[order, k] for k in range(dim_z) for v in (P.exact.za, P.exact.zb)]
+        head_qa, head_qb = P.exact.qa[heads], P.exact.qb[heads]
+        head_keys = P.q_key_matrix[heads]
+    width = 2 * (dim_z + P.dim_q) if exact_mode else dim_z + P.dim_q
+    keys, counts = [np.zeros((0, width), dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for fi in np.flatnonzero(np.sqrt(np.sum(deltas * deltas, axis=1)) <= T + BALL_PAD):
+        xs = np.arange(bounds[fi], bounds[fi + 1])
+        xs = xs[x_norms[xs] <= t_z + BALL_PAD]
+        dq = deltas - deltas[fi]
+        nb = np.flatnonzero(np.sqrt(np.sum(dq * dq, axis=1)) <= range_ + BALL_PAD)
+        slot = np.repeat(np.arange(len(nb)), len(xs))
+        src = np.tile(xs, len(nb))
+        c = g.cocycle.beta(deltas[fi], deltas[nb])[slot]
+        z0 = zs[0][src] + c[:, 0]
+        lo = window_edge(nb[slot], z0 - w - SEARCH_PAD, "left")
+        hi = window_edge(nb[slot], z0 + w + SEARCH_PAD, "right")
+        rows, cols = pointset._expand_ranges(lo, hi)
+        dz = [zk[cols] - zk[src[rows]] - c[rows, k] for k, zk in enumerate(zs)]
+        keep = df._norm(dz) <= w + BALL_PAD
+        rows, cols = rows[keep], cols[keep]
+        if exact_mode:
+            ca, cb = g.cocycle.beta_exact(head_qa[fi], head_qb[fi], head_qa[nb], head_qb[nb], P.exact.d)
+            shift = [cv[:, k] for k in range(dim_z) for cv in (ca, cb)]
+            z_keys = [v[cols] - v[src[rows]] - sh[slot[rows]] for v, sh in zip(z_exact, shift)]
+            q_keys = head_keys[nb] - head_keys[fi]
+        else:
+            z_keys = [_quant_keys(dk[keep]) for dk in dz]
+            q_keys = _quant_keys(dq[nb])
+        uniq, cnt = _lex_count(np.column_stack([*z_keys, q_keys[slot[rows]]]), np.ones(len(rows), dtype=np.int64))
+        keys.append(uniq)
+        counts.append(cnt)
+    keys, counts = _lex_count(np.concatenate(keys), np.concatenate(counts))
+    if exact_mode:
+        m = 2 * dim_z
+        exact = ExactCoords(za=keys[:, 0:m:2], zb=keys[:, 1:m:2], qa=keys[:, m::2], qb=keys[:, m + 1::2], d=P.exact.d)
+        z_atoms, q_atoms = exact.embed_z(), exact.embed_q()
+    else:
+        exact, z_atoms, q_atoms = None, keys[:, :dim_z] * QUANT, keys[:, dim_z:] * QUANT
+    vol = ql.gauge_ball_volume(dim_z, P.dim_q, T)
+    return df.WeightedPointMeasure(dim_z=dim_z, dim_q=P.dim_q, z=z_atoms, q=q_atoms, weights=counts / vol,
+                                   range_=range_, normalization=vol, exact=exact)
+
+
+def _atom_bytes(eta):
+    e = eta.exact
+    arrays = [eta.z, eta.q, eta.weights] + ([] if e is None else [e.za, e.zb, e.qa, e.qb])
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+def _float_key_h3_square():
+    """A float-key H3 patch squared and clipped to its boxes: its q floats
+    differ in the last bit within most fibers."""
+    H = ql.heisenberg_group()
+    q_axis = 0.1 * np.arange(-3, 4)
+    zs, q0, q1 = np.meshgrid(np.arange(-8, 9), q_axis, q_axis, indexing="ij")
+    P = ql.make_patch(group=H, z=zs.reshape(-1, 1).astype(float), q=np.stack([q0.ravel(), q1.ravel()], axis=1),
+                      window_z=8.0, window_q=0.3, core_z=8.0, core_q=0.3)
+    square = ql.minkowski(P, P, P.window_z, P.window_q)
+    return square.take(np.arange(square.n), core_z=min(P.core_z, square.window_z),
+                       core_q=min(P.core_q, square.window_q))
+
+
+def _big_coefficient_silver_square():
+    """A flat 2-d silver set whose exact coefficients reach 5e5 while its
+    points stay sparse: the packed pair keys would span past 2**62."""
+    S = ql.model_set_1d(Fraction(1, 10**4), 10**6)
+    return ql.cartesian_flat(S, S)
+
+
+KERNEL_CASES = {
+    "h3_core_3_4": lambda: (_h3_core(3.0, 4.0), 3.0, 4.0),
+    "h3_core_3.5_4.25": lambda: (_h3_core(3.5, 4.25), 3.5, 4.25),
+    "h3_core_4_4.5": lambda: (_h3_core(4.0, 4.5), 4.0, 4.5),
+    "h3_float_keys": lambda: (_float_keyed(_h3_core(2.0, 2.5)), 2.0, 2.5),
+    "h3_float_square": lambda: (_float_key_h3_square(), 0.12, 0.17),
+    "silver": lambda: (ql.model_set_1d(1, 2100), 1000, 45),
+    "silver_float": lambda: (_float_keyed(ql.model_set_1d(1, 2100)), 1000, 45),
+    "silver_product": lambda: (_silver_product(), 2.7, 2.1),
+    "abelian_2_0": lambda: (ql.integer_lattice_patch(ql.abelian_group(2, 0), 9.0), 5.0, 4.0),
+    "abelian_3_0": lambda: (ql.integer_lattice_patch(ql.abelian_group(3, 0), 5.0), 2.5, 2.5),
+    "abelian_2_1": lambda: (ql.integer_lattice_patch(ql.abelian_group(2, 1), 12.0, 4.0), 2.0, 2.0),
+    "far_boundary": _far_boundary_patch,
+    # kept (within BALL_PAD), rejected inside the search pad, and outside it
+    "pad_band": lambda: _far_boundary_patch((0.0, 5e-13, 3e-12, 5e-10, 2e-9)),
+    "packed_span_past_2_62": lambda: (_big_coefficient_silver_square(), 1e5, 5e4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_kernel_equals_the_per_pair_filter(case):
+    P, T, range_ = KERNEL_CASES[case]()
+    radices = []
+    pair_radix = df._pair_radix
+    with patch.object(df, "_pair_radix", lambda *a: radices.append(pair_radix(*a)) or radices[-1]):
+        eta = df.autocorrelation(P, T, range_)
+    assert eta.n_atoms > 1
+    assert _atom_bytes(eta) == _atom_bytes(_reference_autocorrelation(P, T, range_))
+    # exact keys are packed into one column unless their spans pass 2**62
+    exact_mode = P.exact is not None and P.group.cocycle.is_integral
+    assert [r is not None for r in radices] == ([case != "packed_span_past_2_62"] if exact_mode else [])
+
+
+@pytest.mark.parametrize("case", ["h3_core_3.5_4.25", "h3_float_keys", "silver", "silver_float", "silver_product",
+                                  "far_boundary", "pad_band"])
+def test_one_central_dimension_forms_only_the_pairs_it_counts(case):
+    P, T, range_ = KERNEL_CASES[case]()
+    formed = []
+    expand = df._expand_ranges
+    with patch.object(df, "_expand_ranges", lambda lo, hi: formed.append(int((hi - lo).sum())) or expand(lo, hi)):
+        eta = df.autocorrelation(P, T, range_)
+    counted = np.rint(eta.weights * eta.normalization).astype(np.int64)
+    assert sum(formed) == int(counted.sum()) > 0
+
+
+def _sign_rt2(a, b):
+    """Sign of a + b*sqrt(2), in Python ints."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa == sb or sb == 0:
+        return sa
+    return sb if sa == 0 or 2 * b * b > a * a else sa
+
+
+def _at_most(v, bound):
+    """|v| <= bound for v = (a, b) meaning a + b*sqrt(2) and an int bound."""
+    return _sign_rt2(bound - v[0], -v[1]) >= 0 and _sign_rt2(bound + v[0], v[1]) >= 0
+
+
+def _mul_rt2(v, w):
+    return v[0] * w[0] + 2 * v[1] * w[1], v[0] * w[1] + v[1] * w[0]
+
+
+def _exact_pair_counts(P, t_z, t_q2, r_z, r_q2):
+    """Counts of the exact keys of x^-1 y = (z_y - z_x - beta(q_x, q_y),
+    q_y - q_x) over x with |z_x| <= t_z, |q_x|^2 <= t_q2 and pairs with
+    |dz| <= r_z, |dq|^2 <= r_q2: the bounds are ints and every test runs in
+    Python ints over Z[sqrt 2].  One central coordinate; floats only prune."""
+    assert P.dim_z == 1 and P.exact.d == 2
+    e = P.exact
+    M = P.group.cocycle.stack[0].astype(int).tolist()
+    pts = [((za[0], zb[0]), list(zip(qa, qb)))
+           for za, zb, qa, qb in zip(e.za.tolist(), e.zb.tolist(), e.qa.tolist(), e.qb.tolist())]
+
+    def beta(v, w):
+        terms = [(M[i][j] * a, M[i][j] * b) for i, vi in enumerate(v) for j, wj in enumerate(w)
+                 for a, b in [_mul_rt2(vi, wj)]]
+        return sum(t[0] for t in terms), sum(t[1] for t in terms)
+
+    def norm2_at_most(q, bound2):
+        a, b = (sum(_mul_rt2(v, v)[s] for v in q) for s in (0, 1))
+        return _sign_rt2(bound2 - a, -b) >= 0
+
+    brute = Counter()
+    pad = 1e-6
+    for i in np.flatnonzero((np.abs(P.z[:, 0]) <= t_z + pad) & (np.sum(P.q * P.q, axis=1) <= t_q2 + pad)):
+        zx, qx = pts[i]
+        if not (_at_most(zx, t_z) and norm2_at_most(qx, t_q2)):
+            continue
+        c = P.group.cocycle.beta(P.q[i], P.q)[:, 0]
+        near = (np.abs(P.z[:, 0] - P.z[i, 0] - c) <= r_z + pad) & (np.sum((P.q - P.q[i]) ** 2, axis=1) <= r_q2 + pad)
+        for j in np.flatnonzero(near):
+            zy, qy = pts[j]
+            b = beta(qx, qy)
+            dz = (zy[0] - zx[0] - b[0], zy[1] - zx[1] - b[1])
+            dq = [(y[0] - x[0], y[1] - x[1]) for x, y in zip(qx, qy)]
+            if _at_most(dz, r_z) and norm2_at_most(dq, r_q2):
+                brute[(*dz, *(c for v in dq for c in v))] += 1
+    return brute
+
+
+def _assert_exact_atoms(eta, brute):
+    assert brute
+    got = dict(zip(map(tuple, eta.exact.key_matrix().tolist()), eta.weights.tolist()))
+    assert got == {k: c / eta.normalization for k, c in brute.items()}
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(1, 4), k=st.integers(1, 6), extra_z=st.integers(0, 2), extra_q=st.integers(0, 1),
+       keep=st.sampled_from([1.0, 0.9, 0.6]), seed=st.integers(0, 2**16))
+def test_h3_lattice_box_atoms_match_python_int_group_law(m, k, extra_z, extra_q, keep, seed):
+    # T = sqrt(m) and range = sqrt(k): pairs at |dz| = range^2, |dq|^2 =
+    # range^2 and x points at |z| = T^2, |q| = T sit on the trimmed edges.
+    H = ql.heisenberg_group()
+    T, range_ = math.sqrt(m), math.sqrt(k)
+    L = ql.integer_lattice_patch(H, math.ceil(m + k + T * range_) + extra_z, math.ceil(T + range_) + extra_q)
+    P = L.take(np.flatnonzero(np.random.default_rng(seed).random(L.n) < keep))
+    _assert_exact_atoms(df.autocorrelation(P, T, range_), _exact_pair_counts(P, m, m, k, k))
+
+
+@settings(max_examples=25, deadline=None)
+@given(R=st.sampled_from([Fraction(1, 2), 1, Fraction(3, 2), 2]), t=st.integers(1, 30), r=st.integers(1, 8),
+       extra=st.integers(0, 4))
+def test_silver_window_atoms_match_python_int_group_law(R, t, r, extra):
+    # Integer radii: x and x + r both lie in the set when 2R >= r, so pairs
+    # sit exactly on the range.
+    P = ql.model_set_1d(R, t + r + extra)
+    _assert_exact_atoms(df.autocorrelation(P, t, r), _exact_pair_counts(P, t, 0, r, 0))
+
+
+@settings(max_examples=12, deadline=None)
+@given(m=st.integers(1, 2), k=st.integers(1, 4), R=st.sampled_from([1, 2]))
+def test_silver_product_atoms_match_python_int_group_law(m, k, R):
+    # The cores of _silver_product cover T = sqrt(2) with range 2.
+    D1 = ql.model_set_1d(1, 4.8)
+    P = ql.symplectic_product(ql.model_set_1d(R, 18.0), ql.cartesian_flat(D1, D1), ql.heisenberg_group(), k=3)
+    _assert_exact_atoms(df.autocorrelation(P, math.sqrt(m), math.sqrt(k)), _exact_pair_counts(P, m, m, k, k))
 
 def test_mixed_weights_symmetric_under_inversion(h3_eta):
     H, P, eta = h3_eta

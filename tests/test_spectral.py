@@ -180,6 +180,26 @@ def test_palm_profile_matches_the_h3_lattice_closed_form(h3_lattice, S, T):
         assert c == pytest.approx(lattice_palm(theta, S, T), rel=1e-12)
 
 
+def z2_palm(theta, T):
+    """c_theta on the flat lattice Z^2, the horizontal half of H3(Z): the
+    points n with |n| <= T are counted in Python ints, and the phase sum is
+    real since the disk is symmetric under n -> -n."""
+    r, t2 = math.floor(T), T * T
+    pts = [(a, b) for a in range(-r, r + 1) for b in range(-r, r + 1) if a * a + b * b <= t2]
+    total = math.fsum(math.cos(TWO_PI * (theta[0] * a + theta[1] * b)) for a, b in pts)
+    return total ** 2 / (math.pi * T * T) ** 2
+
+
+@pytest.mark.parametrize("T", [5.0, 10.3, 17.7, 24.0])
+def test_flat_palm_profile_matches_the_z2_closed_form(T):
+    # T = 5 and 24 put lattice points on the circle |n| = T, such as (3, 4).
+    Z2 = ql.integer_lattice_patch(ql.abelian_group(2, 0), window_z=25.0)
+    thetas = np.array([[0.0, 0.0], [1.0, -2.0], [0.5, 0.0], [0.1, 0.2], [0.25, 0.25], [0.3, 0.7], [0.03, 0.0]])
+    for theta, c in zip(thetas, sp.palm_profile(Z2, thetas, 0.0, T)):
+        assert c == pytest.approx(z2_palm(theta, T), rel=1e-12)
+    assert sp.palm_profile(Z2, thetas[:1], 0.0, T)[0] == pytest.approx(1.0, abs=2.0 / T)
+
+
 def test_fibered_palm_forms_one_phase_per_distinct_z(h3_lattice, monkeypatch):
     sizes = []
     phase_columns = sp._phase_columns
