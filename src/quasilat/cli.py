@@ -352,6 +352,8 @@ def _cmd_density(args, parser) -> int:
 
 def _cmd_spectrum(args, parser) -> int:
     _require_positive(parser, K=args.K, h=args.h, T=args.T)
+    if not 0 <= args.S < math.inf:
+        parser.error(f"argument --S: must be non-negative and finite, got {args.S:g}")
     P = load_patch(args.inp)
     if P.dim_z != 1:
         raise QuasilatError("spectrum CSV is defined for one central dimension")
@@ -382,6 +384,8 @@ def _cmd_spectrum(args, parser) -> int:
 
 def _cmd_bragg(args, parser) -> int:
     _require_positive(parser, K=args.K, h=args.h, T=args.T)
+    if not 0 <= args.S < math.inf:
+        parser.error(f"argument --S: must be non-negative and finite, got {args.S:g}")
     if not 0 < args.eps < 1:
         parser.error(f"argument --eps: must lie in (0, 1), got {args.eps:g}")
     P = load_patch(args.inp)

@@ -21,13 +21,15 @@ from .errors import (
     ThresholdTooSmallError,
     check_size,
 )
-from .group import CentralExtensionGroup, Cocycle, abelian_group
+from .group import CentralExtensionGroup, Cocycle
 from .pointset import (
     BALL_PAD,
     BOUNDARY_PAD,
+    QUANT,
     ExactCoords,
     PointPatch,
     _axis,
+    _flat_patch,
     _grid_rows,
     _is_symmetric_with_identity,
     _nearest_distance,
@@ -37,8 +39,6 @@ from .pointset import (
     minkowski,
 )
 from .ring import _silver_coeffs
-
-MATCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -120,19 +120,8 @@ def generate_model_set(scheme: CutProjectScheme, T: float) -> PointPatch:
     if scheme.kind == "silver":
         lo, hi = scheme.window[0]
         a, b = _silver_coeffs(lo, hi, T)
-        none = np.zeros((len(a), 0), dtype=np.int64)
-        exact = ExactCoords(za=a[:, None], zb=b[:, None], qa=none, qb=none)
-        return make_patch(
-            group=abelian_group(dim_z=1, dim_q=0),
-            z=exact.embed_z(),
-            q=np.zeros((exact.n, 0)),
-            window_z=T,
-            window_q=0.0,
-            core_z=T,
-            core_q=0.0,
-            provenance=f"model_set(silver,W=[{lo:.12g},{hi:.12g}],T={T:.12g})",
-            exact=exact,
-        )
+        exact = ExactCoords(za=a[:, None], zb=b[:, None])
+        return _flat_patch(exact.embed_z(), T, T, f"model_set(silver,W=[{lo:.12g},{hi:.12g}],T={T:.12g})", exact)
     basis = scheme.basis
     p, i = scheme.physical_dim, scheme.internal_dim
     n = p + i
@@ -152,18 +141,8 @@ def generate_model_set(scheme: CutProjectScheme, T: float) -> PointPatch:
     if np.array_equal(basis, np.round(basis)):
         exact_z = np.round(phys).astype(np.int64)
         if np.array_equal(exact_z, phys):
-            exact = ExactCoords.from_int_rows(exact_z, np.zeros((len(phys), 0)))
-    return make_patch(
-        group=abelian_group(dim_z=p, dim_q=0),
-        z=phys,
-        q=np.zeros((len(phys), 0)),
-        window_z=T,
-        window_q=0.0,
-        core_z=T,
-        core_q=0.0,
-        provenance=f"model_set(matrix,p={p},i={i},T={T:.12g})",
-        exact=exact,
-    )
+            exact = ExactCoords(za=exact_z, zb=np.zeros_like(exact_z))
+    return _flat_patch(phys, T, T, f"model_set(matrix,p={p},i={i},T={T:.12g})", exact)
 
 
 def cartesian_flat(p1: PointPatch, p2: PointPatch) -> PointPatch:
@@ -171,29 +150,17 @@ def cartesian_flat(p1: PointPatch, p2: PointPatch) -> PointPatch:
     if p1.dim_q or p2.dim_q:
         raise ValueError("cartesian_flat expects flat patches")
     n, m = p1.n, p2.n
-    z = np.concatenate(
-        [
-            np.repeat(p1.z, m, axis=0),
-            np.tile(p2.z, (n, 1)),
-        ],
-        axis=1,
-    )
+
+    def pairs(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+        return np.concatenate([np.repeat(a1, m, axis=0), np.tile(a2, (n, 1))], axis=1)
+
     exact = None
     if p1.exact is not None and p2.exact is not None and p1.exact.d == p2.exact.d:
-        za = np.concatenate([np.repeat(p1.exact.za, m, axis=0), np.tile(p2.exact.za, (n, 1))], axis=1)
-        zb = np.concatenate([np.repeat(p1.exact.zb, m, axis=0), np.tile(p2.exact.zb, (n, 1))], axis=1)
-        empty = np.zeros((n * m, 0), dtype=np.int64)
-        exact = ExactCoords(za=za, zb=zb, qa=empty, qb=empty, d=p1.exact.d)
-    return make_patch(
-        group=abelian_group(dim_z=p1.dim_z + p2.dim_z, dim_q=0),
-        z=z,
-        q=np.zeros((n * m, 0)),
-        window_z=max(p1.window_z, p2.window_z),
-        window_q=0.0,
-        core_z=min(p1.core_z, p2.core_z),
-        core_q=0.0,
-        provenance=f"cartesian({p1.provenance[:40]},{p2.provenance[:40]})",
-        exact=exact,
+        e1, e2 = p1.exact, p2.exact
+        exact = ExactCoords(za=pairs(e1.za, e2.za), zb=pairs(e1.zb, e2.zb), d=e1.d)
+    return _flat_patch(
+        pairs(p1.z, p2.z), max(p1.window_z, p2.window_z), min(p1.core_z, p2.core_z),
+        f"cartesian({p1.provenance[:40]},{p2.provenance[:40]})", exact,
     )
 
 
@@ -249,11 +216,10 @@ def check_symplectic_condition(
     if exact_ok:
         ea, eb, d = Delta.exact.za, Delta.exact.zb, Delta.exact.d
         Ba, Bb = cocycle.beta_exact(ea[:, None, :], eb[:, None, :], ea[None, :, :], eb[None, :, :], d)
-        empty = np.zeros((n ** 3, 0), dtype=np.int64)
         triples = ExactCoords(
             za=(Ba[:, None, :, :] + Ba[None, :, :, :]).reshape(n ** 3, dz),
             zb=(Bb[:, None, :, :] + Bb[None, :, :, :]).reshape(n ** 3, dz),
-            qa=empty, qb=empty, d=d,
+            d=d,
         )
         keys = triples.key_matrix()
         order, starts = group_rows(keys)
@@ -263,7 +229,7 @@ def check_symplectic_condition(
     else:
         uniq = np.unique(triple, axis=0)
         dist = _nearest_distance(sum_patch.z, uniq) if sum_patch.n else np.full(len(uniq), np.inf)
-        bad = np.flatnonzero(dist > MATCH_TOL)
+        bad = np.flatnonzero(dist > QUANT)
         witness = tuple(uniq[bad[0]].tolist()) if len(bad) else None
     return ConditionReport(
         holds=witness is None, k=k, n_checked=n ** 3, max_abs_beta=max_abs,
@@ -320,25 +286,12 @@ def project(P: PointPatch) -> PointPatch:
     """Projection to the q block, returned as a flat patch (deduplicated)."""
     if P.dim_q == 0:
         raise ValueError("patch has no q block to project to")
-    exact = None
-    if P.exact is not None:
-        e = P.exact
-        empty = np.zeros((e.n, 0), dtype=np.int64)
-        exact = ExactCoords(za=e.qa, zb=e.qb, qa=empty, qb=empty, d=e.d)
-    return make_patch(
-        group=abelian_group(dim_z=P.dim_q, dim_q=0),
-        z=P.q,
-        q=np.zeros((P.n, 0)),
-        window_z=P.window_q,
-        window_q=0.0,
-        core_z=P.core_q,
-        core_q=0.0,
-        provenance=f"project({P.provenance[:50]})",
-        exact=exact,
-    )
+    e = P.exact
+    exact = ExactCoords(za=e.qa, zb=e.qb, d=e.d) if e is not None else None
+    return _flat_patch(P.q, P.window_q, P.core_q, f"project({P.provenance[:50]})", exact)
 
 
-def fiber(P: PointPatch, delta: Sequence[float], tol: float = MATCH_TOL) -> np.ndarray:
+def fiber(P: PointPatch, delta: Sequence[float], tol: float = QUANT) -> np.ndarray:
     """z-parts of the points of P sitting over delta, as an (n, dim_z)
     array in canonical order.  An unmatched delta gives an empty array."""
     d = np.asarray(delta, dtype=float).reshape(P.dim_q)

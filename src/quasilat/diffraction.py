@@ -16,9 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cutproject import MATCH_TOL
 from .cutproject import fiber as extract_fiber
-from .errors import DegenerateDensityError, InsufficientWindowError, WindowShortfallError
+from .errors import DegenerateBallError, DegenerateDensityError, InsufficientWindowError, WindowShortfallError
 from .group import ball_volume, gauge_ball_volume
 from .pointset import (
     BALL_PAD, CORE_PAD, QUANT, SEARCH_PAD, ExactCoords, PointPatch,
@@ -65,7 +64,7 @@ class WeightedPointMeasure:
     def n_atoms(self) -> int:
         return len(self.weights)
 
-    def weight_at(self, z: Sequence[float], q: Sequence[float] = (), tol: float = MATCH_TOL) -> float:
+    def weight_at(self, z: Sequence[float], q: Sequence[float] = (), tol: float = QUANT) -> float:
         zq = np.asarray(z, dtype=float).reshape(self.dim_z)
         qq = np.asarray(q, dtype=float).reshape(self.dim_q)
         mask = np.all(np.abs(self.z - zq[None, :]) <= tol, axis=1)
@@ -246,13 +245,13 @@ def autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedPointMeas
         raise InsufficientWindowError("empty patch")
     T = float(T)
     range_ = float(range_)
-    if T <= 0 or range_ <= 0:
+    if not (T > 0 and range_ > 0):
         raise ValueError("T and range must be positive")
     if P.dim_z == 0:
         raise ValueError("autocorrelation needs a central coordinate")
     if P.dim_q == 0:
         need = T + range_
-        if P.core_z + CORE_PAD < need:
+        if not need <= P.core_z + CORE_PAD:
             raise WindowShortfallError(
                 f"averaging to T={T:.6g} with range {range_:.6g} needs core "
                 f"{need:.6g}, patch has {P.core_z:.6g}"
@@ -261,7 +260,7 @@ def autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedPointMeas
         drift = P.group.cocycle.drift_bound
         need_q = T + range_
         need_z = T * T + range_ * range_ + drift * T * range_
-        if P.core_q + CORE_PAD < need_q or P.core_z + CORE_PAD < need_z:
+        if not (need_q <= P.core_q + CORE_PAD and need_z <= P.core_z + CORE_PAD):
             raise WindowShortfallError(
                 f"averaging to T={T:.6g} with range {range_:.6g} needs cores "
                 f"(z={need_z:.6g}, q={need_q:.6g}), patch has "
@@ -277,17 +276,10 @@ def central_autocorrelation(eta: WeightedPointMeasure) -> WeightedPointMeasure:
     if eta.exact is not None:
         mask = np.all(eta.exact.qa == 0, axis=1) & np.all(eta.exact.qb == 0, axis=1)
     else:
-        mask = np.all(np.abs(eta.q) <= MATCH_TOL, axis=1)
+        mask = np.all(np.abs(eta.q) <= QUANT, axis=1)
     idx = np.flatnonzero(mask)
-    exact = None
-    if eta.exact is not None:
-        e = eta.exact.take(idx)
-        exact = ExactCoords(
-            za=e.za, zb=e.zb,
-            qa=np.zeros((len(idx), 0), dtype=np.int64),
-            qb=np.zeros((len(idx), 0), dtype=np.int64),
-            d=e.d,
-        )
+    e = eta.exact.take(idx) if eta.exact is not None else None
+    exact = ExactCoords(za=e.za, zb=e.zb, d=e.d) if e is not None else None
     return WeightedPointMeasure(
         dim_z=eta.dim_z,
         dim_q=0,
@@ -305,10 +297,12 @@ def diffraction_atom(eta_e: WeightedPointMeasure, xi: Character, T: float) -> fl
     central autocorrelation, estimating the diffraction atom at xi."""
     if eta_e.dim_q != 0:
         raise ValueError("expected a central (q = 0) measure")
+    if not T > 0:
+        raise DegenerateBallError(f"Wiener radius T={T:.6g} must be positive")
     if eta_e.n_atoms == 0:
         return 0.0
     norms = np.sqrt(np.sum(eta_e.z * eta_e.z, axis=1))
-    if float(norms.max()) > T + CORE_PAD:
+    if not float(norms.max()) <= T + CORE_PAD:
         raise InsufficientWindowError(
             f"support reaches {norms.max():.6g}, beyond the Wiener radius {T:.6g}"
         )

@@ -6,9 +6,9 @@ The group is R^dim_z x R^dim_q with product
 
 for an antisymmetric bilinear cocycle beta.  dim_q = 0 recovers the
 abelian case, dim_z = 1 with the standard symplectic form on R^2 gives
-the Heisenberg group.  The homogeneous gauge is max(|q|, |z|^(1/2))
-except in the abelian cases, where the Euclidean norm of the only
-surviving block is used so that gauge balls match ordinary balls.
+the Heisenberg group.  The homogeneous gauge is max(|q|, |z|^(1/2)),
+which is |q| when there is no z block; with no q block it is |z|, so
+gauge balls of the abelian cases match ordinary balls.
 """
 from __future__ import annotations
 
@@ -256,8 +256,6 @@ class CentralExtensionGroup:
         qn = math.sqrt(sum(v * v for v in g.q))
         if self.dim_q == 0:
             return zn
-        if self.dim_z == 0:
-            return qn
         return max(qn, math.sqrt(zn))
 
     def distance(self, g: GroupElement, h: GroupElement) -> float:
@@ -286,8 +284,6 @@ class CentralExtensionGroup:
         if self.dim_q == 0:
             return zn
         qn = np.sqrt(np.sum(q * q, axis=-1))
-        if self.dim_z == 0:
-            return qn
         return np.maximum(qn, np.sqrt(zn))
 
 
@@ -308,9 +304,7 @@ def ball_volume(dim: int, radius: float) -> float:
 
 def gauge_ball_volume(dim_z: int, dim_q: int, T: float) -> float:
     """Volume of {gauge <= T}: q-ball of radius T times z-ball of radius T^2,
-    collapsing to the plain Euclidean ball in the abelian cases."""
+    or the plain z-ball of radius T when there is no q block."""
     if dim_q == 0:
         return ball_volume(dim_z, T)
-    if dim_z == 0:
-        return ball_volume(dim_q, T)
     return ball_volume(dim_q, T) * ball_volume(dim_z, T * T)

@@ -6,6 +6,8 @@ it is certified complete (core).  All set-level operations (Minkowski
 products, inversion, translation) keep track of how the trusted core
 shrinks, and carry exact quadratic-integer coordinates along whenever
 the inputs have them, so membership questions never depend on floats.
+A flat patch is one in the abelian group R^dim with no q block, so its
+points, window and core are all z data.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from .errors import (
     InsufficientWindowError,
     check_size,
 )
-from .group import CentralExtensionGroup, GroupElement, _max_abs
+from .group import CentralExtensionGroup, GroupElement, _max_abs, abelian_group
 from .ring import COEFF_LIMIT, QuadInt, check_radicand
 
 QUANT = 1e-9  # float coordinates closer than this collapse to one key
@@ -36,17 +38,21 @@ _PAIR_GUARD = 2 ** 30  # inputs to exact products stay below this
 
 @dataclass(frozen=True)
 class ExactCoords:
-    """Per-point integer pairs (a, b) meaning a + b*sqrt(d), per coordinate."""
+    """Per-point integer pairs (a, b) meaning a + b*sqrt(d), per coordinate;
+    a q block left out (qa = qb = None) has width zero."""
 
     za: np.ndarray
     zb: np.ndarray
-    qa: np.ndarray
-    qb: np.ndarray
+    qa: Optional[np.ndarray] = None
+    qb: Optional[np.ndarray] = None
     d: int = 2
 
     def __post_init__(self) -> None:
+        if (self.qa is None) != (self.qb is None):
+            raise ValueError("give both exact q blocks or neither")
         for name in ("za", "zb", "qa", "qb"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.int64)
+            arr = getattr(self, name)
+            arr = np.ascontiguousarray(np.zeros((len(self.za), 0)) if arr is None else arr, dtype=np.int64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.za.shape != self.zb.shape or self.qa.shape != self.qb.shape:
@@ -60,8 +66,7 @@ class ExactCoords:
         d = points[0].d if points else 2
         za = np.array([[p.a] for p in points], dtype=np.int64).reshape(len(points), 1)
         zb = np.array([[p.b] for p in points], dtype=np.int64).reshape(len(points), 1)
-        empty = np.zeros((len(points), 0), dtype=np.int64)
-        return cls(za=za, zb=zb, qa=empty, qb=empty, d=d)
+        return cls(za=za, zb=zb, d=d)
 
     @classmethod
     def from_int_rows(cls, z: np.ndarray, q: np.ndarray, d: int = 2) -> "ExactCoords":
@@ -226,7 +231,10 @@ class PointPatch:
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "q", q)
         for name in ("window_z", "window_q", "core_z", "core_q"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            v = float(getattr(self, name))
+            if not 0.0 <= v < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {v!r}")
+            object.__setattr__(self, name, v)
         if self.core_z > self.window_z + BALL_PAD or self.core_q > self.window_q + BALL_PAD:
             raise ValueError("core box cannot exceed the window box")
         if z.size and np.abs(z).max() > self.window_z + QUANT:
@@ -374,6 +382,14 @@ def make_patch(
         provenance=provenance,
         exact=exact,
     )
+
+
+def _flat_patch(
+    z: np.ndarray, window: float, core: float, provenance: str = "", exact: Optional[ExactCoords] = None
+) -> PointPatch:
+    """make_patch of the (n, dim) rows z as a flat patch."""
+    q = np.zeros((len(z), 0))
+    return make_patch(abelian_group(z.shape[1]), z, q, window, 0.0, core, 0.0, provenance, exact)
 
 
 def patch_from_exact(

@@ -22,8 +22,8 @@ import numpy as np
 from .cutproject import fiber as extract_fiber
 from .cutproject import project
 from .errors import DegenerateBallError, InsufficientWindowError
-from .group import Cocycle, GroupElement, abelian_group, ball_volume
-from .pointset import BALL_PAD, CORE_PAD, PointPatch, _axis, _grid_rows, _nearest_distance, _quant_keys, group_rows, make_patch, translate
+from .group import Cocycle, GroupElement, ball_volume
+from .pointset import BALL_PAD, CORE_PAD, PointPatch, _axis, _flat_patch, _grid_rows, _nearest_distance, _quant_keys, group_rows, translate
 
 CONVERGENCE_ABS = 1e-3
 CONVERGENCE_REL = 0.05
@@ -91,10 +91,10 @@ class DensityEstimate:
     n_points: int
 
 
-def _as_rows(fiber: Union[np.ndarray, Sequence], dim_hint: Optional[int] = None) -> np.ndarray:
+def _as_rows(fiber: Union[np.ndarray, Sequence]) -> np.ndarray:
     arr = np.asarray(fiber, dtype=float)
     if arr.ndim == 1:
-        arr = arr.reshape(-1, 1) if dim_hint in (None, 1) else arr.reshape(1, -1)
+        arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
         raise ValueError("fiber must be a sequence of z-vectors")
     return arr
@@ -125,14 +125,14 @@ def _twisted_densities(
     the phases are summed along the sorted rows and cut at the schedule."""
     z = _as_rows(fiber)
     schedule = [float(t) for t in T_schedule]
-    if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
+    if not schedule or not all(b > a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("T_schedule must be nonempty and strictly increasing")
-    if schedule[0] <= 0:
+    if not schedule[0] > 0:
         raise ValueError("T values must be positive")
     norms = np.sqrt(np.sum(z * z, axis=1))
     if core is None:
         core = float(norms.max()) if len(norms) else 0.0
-    if schedule[-1] > core + CORE_PAD:
+    if not schedule[-1] <= core + CORE_PAD:
         raise InsufficientWindowError(
             f"schedule reaches T={schedule[-1]:.6g} but the fiber is only "
             f"complete to radius {core:.6g}"
@@ -212,17 +212,17 @@ def palm_profile(
         thetas = thetas.reshape(-1, 1)
     if thetas.ndim != 2 or thetas.shape[1] != P.dim_z:
         raise ValueError(f"thetas of shape {thetas.shape} do not have dim_z = {P.dim_z} columns")
-    if T <= 0:
+    if not T > 0:
         raise DegenerateBallError(f"averaging radius T={T:.6g} must be positive")
-    if P.dim_q and S <= 0:
+    if P.dim_q and not S > 0:
         raise DegenerateBallError(
             f"Palm radius S={S:.6g} must be positive on a fibered patch"
         )
-    if P.dim_q and S > P.core_q + CORE_PAD:
+    if P.dim_q and not S <= P.core_q + CORE_PAD:
         raise InsufficientWindowError(
             f"S={S:.6g} exceeds the trusted q-core {P.core_q:.6g}"
         )
-    if T > P.core_z + CORE_PAD:
+    if not T <= P.core_z + CORE_PAD:
         raise InsufficientWindowError(
             f"T={T:.6g} exceeds the trusted z-core {P.core_z:.6g}"
         )
@@ -347,18 +347,8 @@ def split_data(P: PointPatch, xi: Character, T: float) -> SplitLatticeData:
     """Extract split-lattice data from a patch (all fibers translates)."""
     ident = extract_fiber(P, np.zeros(P.dim_q))
     dens = twisted_density(ident, xi, [T], core=P.core_z)
-    Xi = make_patch(
-        group=abelian_group(P.dim_z, 0),
-        z=ident,
-        q=np.zeros((len(ident), 0)),
-        window_z=P.window_z,
-        window_q=0.0,
-        core_z=P.core_z,
-        core_q=0.0,
-        provenance="split_xi",
-    )
-    Delta = project(P)
-    return SplitLatticeData(Xi=Xi, Delta=Delta, cocycle=P.group.cocycle, D_xi_e=dens.value)
+    Xi = _flat_patch(ident, P.window_z, P.core_z, "split_xi")
+    return SplitLatticeData(Xi=Xi, Delta=project(P), cocycle=P.group.cocycle, D_xi_e=dens.value)
 
 
 def twisted_periodization(

@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -401,3 +402,19 @@ def test_infinite_grid_step_is_a_usage_error(tmp_path, capsys):
               "--T", "4", "-o", str(tmp_path / "b.csv")])
     assert exc.value.code == 2
     assert "--h: must be positive and finite, got inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window_z, core_z", [(10.0, math.nan), (math.inf, math.inf), (10.0, -1.0)],
+                         ids=["nan-core", "infinite", "negative-core"])
+def test_non_finite_or_negative_windows_exit_one(tmp_path, capsys, window_z, core_z):
+    # An infinite core would let a T = 10 patch answer at T = 500.
+    patch = tmp_path / "s.json"
+    assert main(["generate", "--scheme", "silver", "--R", "1", "--T", "10", "-o", str(patch)]) == 0
+    capsys.readouterr()
+    doc = json.loads(patch.read_text())
+    patch.write_text(json.dumps({**doc, "window_z": window_z, "core_z": core_z}))
+    csv = tmp_path / "b.csv"
+    code, out, err = run(capsys, "bragg", "--in", str(patch), "--eps", "0.5", "--K", "1",
+                         "--h", "0.1", "--T", "500", "-o", str(csv))
+    assert code == 1 and out == "" and not csv.exists()
+    assert err.startswith("error:") and "finite and non-negative" in err

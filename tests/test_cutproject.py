@@ -207,6 +207,32 @@ def test_cartesian_flat_concatenates_exactly():
     assert got == want
 
 
+@pytest.mark.parametrize("basis, exact", [([[1, 1], [1, -1]], True), ([[1.5, 1.0], [1.0, -1.0]], False)],
+                         ids=["integral", "float-key"])
+def test_matrix_scheme_with_an_empty_window_gives_an_empty_flat_patch(basis, exact):
+    # The internal coordinate m - n is an integer, so (0.1, 0.2) holds no point.
+    P = ql.generate_model_set(ql.matrix_scheme(basis, 1, [(0.1, 0.2)]), 5.0)
+    assert P.n == 0 and P.z.shape == (0, 1) and P.q.shape == (0, 0)
+    assert (P.group.dim_z, P.group.dim_q) == (1, 0)
+    assert (P.window_z, P.window_q, P.core_z, P.core_q) == (5.0, 0.0, 5.0, 0.0)
+    if exact:
+        assert P.exact.za.shape == P.exact.zb.shape == (0, 1)
+        assert P.exact.qa.shape == P.exact.qb.shape == (0, 0)
+    else:
+        assert P.exact is None
+
+
+def test_project_of_an_empty_h3_patch_is_an_empty_flat_patch():
+    H = ql.integer_lattice_patch(ql.heisenberg_group(), 4.0, 2.0, core_z=3.0, core_q=1.5)
+    empty = H.take(np.zeros(0, dtype=np.int64))
+    pr = ql.project(empty)
+    assert pr.n == 0 and pr.z.shape == (0, 2) and pr.q.shape == (0, 0)
+    assert (pr.group.dim_z, pr.group.dim_q) == (2, 0)
+    assert (pr.window_z, pr.window_q, pr.core_z, pr.core_q) == (2.0, 0.0, 1.5, 0.0)
+    assert pr.exact.za.shape == pr.exact.zb.shape == (0, 2)
+    assert pr.exact.qa.shape == pr.exact.qb.shape == (0, 0)
+
+
 def float_key_square():
     """A float-key H3 patch and its square, clipped to the patch boxes."""
     H = ql.heisenberg_group()

@@ -144,3 +144,35 @@ def test_cli_bragg_with_an_overflowing_step_exits_one(tmp_path, capsys):
                  "--T", "4", "-o", str(out)])
     err = capsys.readouterr().err
     assert code == 1 and err.startswith("error: frequency grid too fine") and not out.exists()
+
+
+def _cli_spectrum_with_palm_radius(tmp_path, S):
+    h3 = str(tmp_path / "h3.json")
+    assert main(["generate", "--scheme", "heisenberg", "--T", "4", "--T-q", "1", "-o", h3]) == 0
+    return main(["spectrum", "--in", h3, "--K", "0.5", "--h", "0.25", "--S", S, "--T", "3",
+                 "-o", str(tmp_path / "s.csv")])
+
+
+def _central_measure():
+    Z = ql.integer_lattice_patch(A1, 10.0)
+    return ql.central_autocorrelation(ql.autocorrelation(Z, 2.0, 2.0))
+
+
+@pytest.mark.parametrize("expected, call", [
+    (QuasilatError, lambda tmp: sp.palm_profile(ql.model_set_1d(1, 10.0), [[0.25]], 0.0, math.nan)),
+    (QuasilatError, lambda tmp: sp.palm_profile(ql.integer_lattice_patch(H3, 4.0, 1.0), [[0.25]], math.nan, 2.0)),
+    (ValueError, lambda tmp: df.autocorrelation(ql.model_set_1d(1, 20.0), math.nan, 5.0)),
+    (ValueError, lambda tmp: df.autocorrelation(ql.model_set_1d(1, 20.0), 5.0, math.nan)),
+    (ValueError, lambda tmp: sp.twisted_density([[1.0], [2.0]], sp.character(0.5), [math.nan], 3.0)),
+    (ValueError, lambda tmp: sp.twisted_density([[1.0], [2.0]], sp.character(0.5), [1.0, math.nan], 3.0)),
+    (QuasilatError, lambda tmp: df.diffraction_atom(_central_measure(), sp.character(0.5), math.nan)),
+    (SystemExit, lambda tmp: _cli_spectrum_with_palm_radius(tmp, "nan")),
+    (SystemExit, lambda tmp: _cli_spectrum_with_palm_radius(tmp, "inf")),
+    (SystemExit, lambda tmp: _cli_spectrum_with_palm_radius(tmp, "-1")),
+], ids=["palm-T", "palm-S", "autocorrelation-T", "autocorrelation-range", "twisted-density",
+        "twisted-density-schedule", "diffraction-atom", "cli-S-nan", "cli-S-inf", "cli-S-negative"])
+def test_nan_radii_are_refused(tmp_path, capsys, expected, call):
+    # Every comparison with NaN is false, so each check must be one NaN fails.
+    with pytest.raises(expected):
+        call(tmp_path)
+    assert not (tmp_path / "s.csv").exists()

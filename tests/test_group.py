@@ -54,6 +54,23 @@ def test_gauge_structure(c):
         assert H.gauge(H.dilation(t, g)) == pytest.approx(t * H.gauge(g), rel=1e-12)
 
 
+finite = st.floats(min_value=-1e150, max_value=1e150, allow_subnormal=True)
+
+
+@given(st.lists(st.tuples(finite, finite, finite), min_size=1, max_size=8), st.integers(1, 3))
+def test_q_only_gauges_are_the_euclidean_q_norm(rows, dim_q):
+    # With no central coordinate max(|q|, sqrt|z|) is |q| bit for bit.
+    G = ql.abelian_group(0, dim_q)
+    q = np.array(rows)[:, :dim_q]
+    want = np.sqrt(np.sum(q * q, axis=-1))
+    got = G.gauge_rows(np.zeros((len(q), 0)), q)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+    for row in q.tolist():
+        g = G.element((), row)
+        assert G.gauge(g).hex() == math.sqrt(sum(v * v for v in row)).hex()
+    assert ql.gauge_ball_volume(0, dim_q, 1.5).hex() == ql.ball_volume(dim_q, 1.5).hex()
+
+
 def test_abelian_gauge_is_euclidean():
     A = ql.abelian_group(2, 0)
     g = ql.element_from_ints([3, 4], [])

@@ -1,5 +1,7 @@
-"""Start-up imports: scipy loads only on the first KD-tree query."""
+"""Start-up imports: scipy loads only on the first KD-tree query, and
+every library module uses each name it imports."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -41,3 +43,30 @@ def test_one_dimensional_paths_never_load_scipy():
     # The value min_gap gave when scipy was imported with the package; it is
     # also the brute-force minimum over all pairs.
     assert out.stdout.strip() == "0x1.d59541d2c3a72p-3"
+
+
+def _names_read(tree):
+    """Every name the module reads, those of quoted annotations included."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                names |= _names_read(ast.parse(ann.value, mode="eval"))
+    return names
+
+
+def test_every_imported_name_is_used():
+    # __init__ imports to re-export, so it is left out.
+    unused = []
+    for path in sorted(Path(quasilat.__file__).resolve().parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = _names_read(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                unused += [f"{path.name}: {name}" for name in bound if name not in used]
+    assert unused == []

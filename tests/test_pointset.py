@@ -533,6 +533,24 @@ def test_exact_max_abs_counts_the_most_negative_int64():
     assert ql.ExactCoords(za=low, zb=low + 1, qa=empty, qb=empty).max_abs() == 2 ** 63
 
 
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_exact_coords_without_a_q_block_have_width_zero(n):
+    za = np.arange(2 * n, dtype=np.int64).reshape(n, 2)
+    zb = -za
+    empty = np.zeros((n, 0), dtype=np.int64)
+    got = ql.ExactCoords(za=za, zb=zb, d=3)
+    want = ql.ExactCoords(za=za, zb=zb, qa=empty, qb=empty, d=3)
+    for name in ("za", "zb", "qa", "qb"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.dtype == b.dtype == np.int64
+        assert a.tobytes() == b.tobytes() and not a.flags.writeable
+    assert got.d == want.d and np.array_equal(got.key_matrix(), want.key_matrix())
+    with pytest.raises(ValueError, match="both"):
+        ql.ExactCoords(za=za, zb=zb, qa=empty)
+    with pytest.raises(ValueError, match="both"):
+        ql.ExactCoords(za=za, zb=zb, qb=empty)
+
+
 def _h3_probe_grid(z_radius, q_radius, h):
     """Probe rows of the mixed covering grid: z step h^2, q step h."""
     def axis(r, s):
