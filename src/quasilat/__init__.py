@@ -11,6 +11,7 @@ from .errors import (
     DegenerateBallError,
     DegenerateDensityError,
     InsufficientWindowError,
+    MalformedPatchError,
     QuasilatError,
     RadicandMismatchError,
     SizeLimitError,
@@ -20,14 +21,11 @@ from .errors import (
 from .ring import (
     QuadInt,
     abs_le,
-    embed_many,
     in_closed_interval,
     linear_ge,
     linear_le,
     model_set_1d,
-    quad_mul,
     silver_points,
-    star,
 )
 from .group import (
     CentralExtensionGroup,

@@ -26,7 +26,7 @@ from .cutproject import (
     silver_scheme,
 )
 from .diffraction import bragg_scan
-from .errors import CoefficientOverflowError, QuasilatError, RadicandMismatchError
+from .errors import CoefficientOverflowError, MalformedPatchError, QuasilatError, RadicandMismatchError
 from .group import CentralExtensionGroup, Cocycle, abelian_group, heisenberg_group
 from .pisot import (
     IntPolynomial,
@@ -94,8 +94,9 @@ def patch_to_doc(P: PointPatch) -> dict:
 
 
 def patch_from_doc(doc: dict) -> PointPatch:
-    """The patch a v1 document describes.  Missing keys, wrong types and
-    exact coefficients beyond COEFF_LIMIT raise QuasilatError."""
+    """The patch a v1 document describes.  Malformed documents raise
+    MalformedPatchError; exact coefficients beyond COEFF_LIMIT raise
+    CoefficientOverflowError."""
     try:
         gdoc = doc["group"]
         cocycle = Cocycle(
@@ -123,13 +124,16 @@ def patch_from_doc(doc: dict) -> PointPatch:
     except OverflowError as exc:
         raise CoefficientOverflowError(f"patch file: a number is out of range ({exc})") from exc
     except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise QuasilatError(f"malformed patch file: {type(exc).__name__}: {exc}") from exc
+        raise MalformedPatchError(f"malformed patch file: {type(exc).__name__}: {exc}") from exc
     if exact is not None:
         if exact.max_abs() > COEFF_LIMIT:
             raise CoefficientOverflowError(f"patch file: exact coefficients exceed {COEFF_LIMIT}")
         if not np.abs(np.hstack([exact.embed_z() - z, exact.embed_q() - q])).max() <= QUANT:
-            raise QuasilatError(f"exact and float coordinates disagree by more than {QUANT:g}")
-    return make_patch(group=group, z=z, q=q, provenance=provenance, exact=exact, **windows)
+            raise MalformedPatchError(f"exact and float coordinates disagree by more than {QUANT:g}")
+    try:
+        return make_patch(group=group, z=z, q=q, provenance=provenance, exact=exact, **windows)
+    except ValueError as exc:  # a PointPatch invariant
+        raise MalformedPatchError(f"malformed patch file: {exc}") from exc
 
 
 def save_patch(P: PointPatch, path: str) -> None:

@@ -344,7 +344,11 @@ def _aligned_fibers(
     """alignment_report with the _core_fibers (order, starts) it classified."""
     if P.dim_q == 0 or P.dim_z == 0:
         raise ValueError("alignment needs both a z block and a q block")
+    if not R_threshold > 0:
+        raise ValueError(f"R_threshold must be positive, got {R_threshold!r}")
     z_radius = P.core_z if z_radius is None else float(z_radius)
+    if not z_radius >= 0:
+        raise ValueError("probe radii must be non-negative")
     if z_radius > P.core_z + BOUNDARY_PAD:
         raise BoundaryUnsoundError("z probe box exceeds the trusted z-core")
     if z_radius < R_threshold:
@@ -356,8 +360,6 @@ def _aligned_fibers(
     order, starts = _core_fibers(P)
     if len(order) == 0:
         raise InsufficientWindowError("no points over the q-core")
-    if z_radius < 0:
-        raise ValueError("probe radii must be non-negative")
     probes, slack = _grid_rows([_axis(z_radius, h)] * P.dim_z, "probes"), h * math.sqrt(P.dim_z) / 2.0
     reports: list[FiberReport] = []
     for rows in np.split(order, starts[1:]):

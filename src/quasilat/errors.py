@@ -54,6 +54,10 @@ class SizeLimitError(QuasilatError, ValueError):
     """A request would build more rows, pairs or probes than its cap allows."""
 
 
+class MalformedPatchError(QuasilatError, ValueError):
+    """A patch file has missing or mistyped fields or breaks a PointPatch invariant."""
+
+
 # name: (cap, what is too big, what to do instead)
 SIZE_CAPS: dict[str, tuple[int, str, str]] = {
     "lattice": (50_000_000, "lattice window too large", "shrink the window"),

@@ -176,10 +176,7 @@ class CentralExtensionGroup:
 
     @property
     def is_abelian(self) -> bool:
-        return self.dim_q == 0 or self.dim_z == 0 or not self._stack_nonzero()
-
-    def _stack_nonzero(self) -> bool:
-        return bool(np.any(self.cocycle.stack != 0.0))
+        return self.dim_q == 0 or self.dim_z == 0 or not np.any(self.cocycle.stack != 0.0)
 
     @property
     def is_nondegenerate(self) -> bool:
@@ -271,11 +268,7 @@ class CentralExtensionGroup:
             q=tuple(t * v for v in g.q),
         )
 
-    # Array variants used by the patch machinery; rows are elements.
-
-    def mul_rows(self, z1: np.ndarray, q1: np.ndarray, z2: np.ndarray, q2: np.ndarray):
-        z = z1 + z2 + self.cocycle.beta(q1, q2)
-        return z, q1 + q2
+    # Array variant used by the patch machinery; rows are elements.
 
     def gauge_rows(self, z: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Gauge of the elements of (..., dim_z), (..., dim_q) coordinate

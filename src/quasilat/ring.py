@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
@@ -95,10 +95,6 @@ class QuadInt:
         return QuadInt(a, b, self.d)
 
     @property
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    @property
     def norm(self) -> int:
         """Field norm a^2 - d*b^2 (product with the conjugate)."""
         return self.a * self.a - self.d * self.b * self.b
@@ -114,16 +110,6 @@ class QuadInt:
 
     def key(self) -> tuple[int, int]:
         return (self.a, self.b)
-
-
-def quad_mul(x: QuadInt, y: QuadInt) -> QuadInt:
-    """Ring product (a_x a_y + d b_x b_y, a_x b_y + b_x a_y)."""
-    return x * y
-
-
-def star(x: QuadInt) -> QuadInt:
-    """Galois involution a + b*sqrt(d) -> a - b*sqrt(d)."""
-    return x.conjugate()
 
 
 def linear_le(a: int, b: int, bound: RationalLike, d: int = 2) -> bool:
@@ -242,7 +228,3 @@ def model_set_1d(R: RationalLike, T: RationalLike) -> "PointPatch":
     from .cutproject import generate_model_set, silver_scheme
 
     return generate_model_set(silver_scheme(-R, R), T)
-
-
-def embed_many(points: Iterable[QuadInt]) -> list[float]:
-    return [p.embed() for p in points]

@@ -8,7 +8,8 @@ over Euclidean balls in the central block.  Palm coefficients average
 |D_xi|^2 over the projected points in a q-ball; for split lattices the
 twisted periodization operator is evaluated directly from its closed
 form.  All summation runs in sorted order (by |z|, then lexicographic)
-so repeated runs produce identical bits.
+so repeated runs produce identical bits.  Phases are formed in blocks of
+about 32,768 (point, theta) entries, 512 KB, which stay in cache.
 """
 from __future__ import annotations
 
@@ -27,20 +28,41 @@ from .pointset import BALL_PAD, CORE_PAD, PointPatch, _axis, _flat_patch, _grid_
 
 CONVERGENCE_ABS = 1e-3
 CONVERGENCE_REL = 0.05
-_PHASE_BLOCK = 1_000_000  # (point, theta) entries formed at once
+_PHASE_BLOCK = 32_768  # (point, theta) entries formed at once
+
 
 def _theta_block(n_points: int) -> int:
-    """Thetas per block, so a block holds about _PHASE_BLOCK entries."""
-    return max(1, _PHASE_BLOCK // max(n_points, 1))
+    """Thetas per block: about _PHASE_BLOCK entries, and at least 20."""
+    return max(20, _PHASE_BLOCK // max(n_points, 1))
 
 
-def _phase_columns(z: np.ndarray, thetas: np.ndarray, twin: bool = True) -> np.ndarray:
+def _fold(z: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(distinct |z| column, each row's index in it, sign-bit rows) when dim_z = 1;
+    None otherwise, as BLAS sums <z, theta> in a shape-dependent order."""
+    if z.shape[1] != 1:
+        return None
+    mags, inv = np.unique(np.abs(z[:, 0]), return_inverse=True)
+    return mags.reshape(-1, 1), inv.reshape(-1), np.signbit(z)
+
+
+def _phase_columns(z: np.ndarray, thetas: np.ndarray, fold: Optional[tuple], twin: bool = True) -> np.ndarray:
     """exp(-2 pi i <z, theta>), one column per theta row.  numpy sums a
     lone column pairwise but several columns row by row, so a lone theta
     gets a twin column: every theta is then summed in the same order.
     Callers that only cumsum pass twin=False: BLAS forms one column of
-    z @ theta in another order than two when dim_z >= 2."""
-    return np.exp(-2j * math.pi * (z @ np.repeat(thetas, 1 + (twin and len(thetas) == 1), axis=0).T))
+    z @ theta in another order than two when dim_z >= 2.
+
+    With fold = _fold(z), exp runs on the distinct |z| only: (-z) * theta
+    is -(z * theta) exactly and exp of a negated argument is the exact
+    conjugate, so 0 - imag at the sign-bit rows gives the unfolded bits;
+    @ makes every zero product +0, and 0 - (+0) keeps it +0."""
+    th = np.repeat(thetas, 1 + (twin and len(thetas) == 1), axis=0).T
+    if fold is None:
+        return np.exp(-2j * math.pi * (z @ th))
+    mags, inv, neg = fold
+    out = np.exp(-2j * math.pi * (mags @ th))[inv]
+    np.subtract(0.0, out.imag, out=out.imag, where=neg)
+    return out
 
 
 @dataclass(frozen=True)
@@ -144,9 +166,9 @@ def _twisted_densities(
     vols = [ball_volume(m, T) for T in schedule]
     start = min((3 * len(schedule)) // 4, len(schedule) - 1)
     out = []
-    block = _theta_block(len(z_sorted))
+    block, fold = _theta_block(len(z_sorted)), _fold(z_sorted)
     for b0 in range(0, len(thetas), block):
-        phases = _phase_columns(z_sorted, thetas[b0 : b0 + block], twin=False)
+        phases = _phase_columns(z_sorted, thetas[b0 : b0 + block], fold, twin=False)
         sums = np.concatenate([np.zeros((1, phases.shape[1])), np.cumsum(phases, axis=0)])[cuts]
         for col in sums.T:
             partials = tuple((T, complex(total) / vol) for T, total, vol in zip(schedule, col, vols))
@@ -242,10 +264,10 @@ def _palm_columns(P: PointPatch, thetas: np.ndarray, S: float, T: float) -> np.n
         zm = P.z[norms <= T + BALL_PAD]
         vol = ball_volume(P.dim_z, T)
         out = np.empty(len(thetas))
-        block = _theta_block(len(zm))
+        block, fold = _theta_block(len(zm)), _fold(zm)
         for b0 in range(0, len(thetas), block):
             th = thetas[b0 : b0 + block]
-            vals = _phase_columns(zm, th)
+            vals = _phase_columns(zm, th, fold)
             out[b0 : b0 + block] = (np.abs(vals.sum(axis=0) / vol) ** 2)[: len(th)]
             del vals  # one block of phases alive at a time
         return out
@@ -268,10 +290,10 @@ def _palm_columns(P: PointPatch, thetas: np.ndarray, S: float, T: float) -> np.n
     vol_z = ball_volume(P.dim_z, T)
     vol_q = ball_volume(P.dim_q, S)
     out = np.empty(len(thetas))
-    block = _theta_block(P.n)
+    block, fold = _theta_block(P.n), _fold(uniq)
     for b0 in range(0, len(thetas), block):
         th = thetas[b0 : b0 + block]
-        phases = (_phase_columns(uniq, th) * inside[:, None])[inv]
+        phases = (_phase_columns(uniq, th, fold) * inside[:, None])[inv]
         dens = np.abs(np.add.reduceat(phases, starts, axis=0) / vol_z) ** 2
         out[b0 : b0 + block] = (dens.sum(axis=0) / vol_q)[: len(th)]
         del phases, dens  # one block of phases alive at a time
@@ -314,16 +336,6 @@ class SampledFunction:
         radius = float(np.abs(pt).max()) if pt.size else 0.0
         return cls(points=pt, values=np.ones(1, dtype=complex), support_radius=radius)
 
-    @classmethod
-    def on_patch_points(cls, points: np.ndarray, values: Sequence[complex]) -> "SampledFunction":
-        pts = np.asarray(points, dtype=float)
-        radius = float(np.abs(pts).max()) if pts.size else 0.0
-        return cls(points=pts, values=np.asarray(values, dtype=complex), support_radius=radius)
-
-    @property
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.values) ** 2))
-
     def lookup(self, queries: np.ndarray) -> np.ndarray:
         """Values at query rows; unmatched points give 0."""
         table = dict(zip(map(tuple, _quant_keys(self.points).tolist()), self.values))
@@ -364,6 +376,8 @@ def twisted_periodization(
     """
     q = np.asarray(at.q, dtype=float)
     z = np.asarray(at.z, dtype=float)
+    if not (np.isfinite(q).all() and np.isfinite(z).all()):
+        raise ValueError(f"periodization point must be finite, got z={at.z}, q={at.q}")
     if q.size and float(np.abs(q).max()) + phi.support_radius > split.Delta.core_z + CORE_PAD:
         raise InsufficientWindowError(
             "phi support shifted by q escapes the Delta core"
@@ -467,6 +481,8 @@ def sandwich_check(
     """
     if Xi.dim_q or Xi.dim_z != 1:
         raise ValueError("sandwich_check expects a one dimensional flat patch")
+    if not (T > 0 and T_K > 0 and 0 < h <= 2 * (T + T_K)):
+        raise ValueError(f"need T, T_K > 0 and 0 < h <= 2 (T + T_K), got T={T!r}, T_K={T_K!r}, h={h!r}")
     if Xi.core_z + CORE_PAD < T + 2 * T_K:
         raise InsufficientWindowError(
             f"need the patch complete to {T + 2 * T_K:.6g}, core is {Xi.core_z:.6g}"

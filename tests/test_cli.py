@@ -9,7 +9,7 @@ import pytest
 import quasilat as ql
 import quasilat.spectral as sp
 from quasilat.cli import load_patch, main, patch_from_doc, save_patch
-from quasilat.errors import QuasilatError
+from quasilat.errors import CoefficientOverflowError, MalformedPatchError, QuasilatError
 
 
 def run(capsys, *argv):
@@ -309,13 +309,20 @@ def _set_exact_z(doc, value):
     lambda doc: _set_exact_z(doc, 10 ** 21),
     lambda doc: _set_exact_z(doc, -(10 ** 21)),
     lambda doc: _set_exact_z(doc, 2 ** 62 + 1),
+    # PointPatch invariants; an infinite core would let the patch answer at any T.
+    lambda doc: {**doc, "core_z": math.nan},
+    lambda doc: {**doc, "window_z": math.inf, "core_z": math.inf},
+    lambda doc: {**doc, "core_z": -1.0},
+    lambda doc: {**doc, "window_z": 1.0, "core_z": 1.0},
 ], ids=["no-group", "not-an-object", "points-not-a-list", "no-dim-q", "window-not-a-number",
-        "z-not-a-number", "no-q", "half-a-pair", "beyond-int64", "below-int64", "beyond-coeff-limit"])
+        "z-not-a-number", "no-q", "half-a-pair", "beyond-int64", "below-int64", "beyond-coeff-limit",
+        "nan-core", "infinite", "negative-core", "points-outside-window"])
 def test_malformed_patch_file_exits_one_without_traceback(tmp_path, capsys, damage):
     p, doc = _five_point_line(tmp_path, capsys)
     bad = damage(doc)
-    with pytest.raises(QuasilatError):
+    with pytest.raises(QuasilatError) as exc:
         patch_from_doc(bad)
+    assert isinstance(exc.value, (MalformedPatchError, CoefficientOverflowError))
     p.write_text(json.dumps(bad))
     code, out, err = run(capsys, "project", "--in", str(p), "-o", str(tmp_path / "out.json"))
     assert code == 1 and out == ""
@@ -402,19 +409,3 @@ def test_infinite_grid_step_is_a_usage_error(tmp_path, capsys):
               "--T", "4", "-o", str(tmp_path / "b.csv")])
     assert exc.value.code == 2
     assert "--h: must be positive and finite, got inf" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("window_z, core_z", [(10.0, math.nan), (math.inf, math.inf), (10.0, -1.0)],
-                         ids=["nan-core", "infinite", "negative-core"])
-def test_non_finite_or_negative_windows_exit_one(tmp_path, capsys, window_z, core_z):
-    # An infinite core would let a T = 10 patch answer at T = 500.
-    patch = tmp_path / "s.json"
-    assert main(["generate", "--scheme", "silver", "--R", "1", "--T", "10", "-o", str(patch)]) == 0
-    capsys.readouterr()
-    doc = json.loads(patch.read_text())
-    patch.write_text(json.dumps({**doc, "window_z": window_z, "core_z": core_z}))
-    csv = tmp_path / "b.csv"
-    code, out, err = run(capsys, "bragg", "--in", str(patch), "--eps", "0.5", "--K", "1",
-                         "--h", "0.1", "--T", "500", "-o", str(csv))
-    assert code == 1 and out == "" and not csv.exists()
-    assert err.startswith("error:") and "finite and non-negative" in err

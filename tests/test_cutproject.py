@@ -339,7 +339,7 @@ def test_alignment_report_refusals(split, monkeypatch):
     assert calls == {"grid": 1, "fiber": 0}
     # A negative box would otherwise make an empty probe grid.
     with pytest.raises(ValueError, match="probe radii must be non-negative"):
-        ql.alignment_report(P, -1.0, z_radius=-0.5)
+        ql.alignment_report(P, 1.0, z_radius=-0.5)
     with pytest.raises(BoundaryUnsoundError):
         ql.alignment_report(P, 1.0, z_radius=P.core_z + 1e-6)
     assert calls["fiber"] == 0

@@ -19,7 +19,7 @@ H3 = ql.heisenberg_group()
 
 def test_every_error_class_is_exported():
     classes = [c for _, c in inspect.getmembers(errors, inspect.isclass) if c.__module__ == errors.__name__]
-    assert len(classes) == 10
+    assert len(classes) == 11
     for cls in classes:
         assert getattr(ql, cls.__name__) is cls
         assert issubclass(cls, QuasilatError)
@@ -158,21 +158,49 @@ def _central_measure():
     return ql.central_autocorrelation(ql.autocorrelation(Z, 2.0, 2.0))
 
 
-@pytest.mark.parametrize("expected, call", [
-    (QuasilatError, lambda tmp: sp.palm_profile(ql.model_set_1d(1, 10.0), [[0.25]], 0.0, math.nan)),
-    (QuasilatError, lambda tmp: sp.palm_profile(ql.integer_lattice_patch(H3, 4.0, 1.0), [[0.25]], math.nan, 2.0)),
-    (ValueError, lambda tmp: df.autocorrelation(ql.model_set_1d(1, 20.0), math.nan, 5.0)),
-    (ValueError, lambda tmp: df.autocorrelation(ql.model_set_1d(1, 20.0), 5.0, math.nan)),
-    (ValueError, lambda tmp: sp.twisted_density([[1.0], [2.0]], sp.character(0.5), [math.nan], 3.0)),
-    (ValueError, lambda tmp: sp.twisted_density([[1.0], [2.0]], sp.character(0.5), [1.0, math.nan], 3.0)),
-    (QuasilatError, lambda tmp: df.diffraction_atom(_central_measure(), sp.character(0.5), math.nan)),
-    (SystemExit, lambda tmp: _cli_spectrum_with_palm_radius(tmp, "nan")),
-    (SystemExit, lambda tmp: _cli_spectrum_with_palm_radius(tmp, "inf")),
-    (SystemExit, lambda tmp: _cli_spectrum_with_palm_radius(tmp, "-1")),
+def _sandwich(T=5.0, T_K=1.0, h=1e-3):
+    return sp.sandwich_check(ql.integer_lattice_patch(A1, 30.0), T, T_K=T_K, h=h)
+
+
+def _h3():
+    return ql.integer_lattice_patch(H3, 12.0, 3.0)
+
+
+def _periodize_at(q):
+    xi = sp.character(0.3)
+    split = sp.split_data(ql.integer_lattice_patch(H3, 10.0, 2.0), xi, 5.0)
+    return sp.twisted_periodization(split, sp.SampledFunction.indicator([0.0, 0.0]), xi,
+                                    ql.GroupElement(z=(0.0,), q=q))
+
+
+@pytest.mark.parametrize("expected, match, call", [
+    (QuasilatError, None, lambda tmp: sp.palm_profile(ql.model_set_1d(1, 10.0), [[0.25]], 0.0, math.nan)),
+    (QuasilatError, None, lambda tmp: sp.palm_profile(ql.integer_lattice_patch(H3, 4.0, 1.0), [[0.25]], math.nan, 2.0)),
+    (ValueError, None, lambda tmp: df.autocorrelation(ql.model_set_1d(1, 20.0), math.nan, 5.0)),
+    (ValueError, None, lambda tmp: df.autocorrelation(ql.model_set_1d(1, 20.0), 5.0, math.nan)),
+    (ValueError, None, lambda tmp: sp.twisted_density([[1.0], [2.0]], sp.character(0.5), [math.nan], 3.0)),
+    (ValueError, None, lambda tmp: sp.twisted_density([[1.0], [2.0]], sp.character(0.5), [1.0, math.nan], 3.0)),
+    (QuasilatError, None, lambda tmp: df.diffraction_atom(_central_measure(), sp.character(0.5), math.nan)),
+    (SystemExit, None, lambda tmp: _cli_spectrum_with_palm_radius(tmp, "nan")),
+    (SystemExit, None, lambda tmp: _cli_spectrum_with_palm_radius(tmp, "inf")),
+    (SystemExit, None, lambda tmp: _cli_spectrum_with_palm_radius(tmp, "-1")),
+    (ValueError, "need T, T_K > 0", lambda tmp: _sandwich(h=-1e-3)),
+    (ValueError, "need T, T_K > 0", lambda tmp: _sandwich(h=0.0)),
+    (ValueError, "need T, T_K > 0", lambda tmp: _sandwich(h=math.nan)),
+    (ValueError, "need T, T_K > 0", lambda tmp: _sandwich(h=50.0)),
+    (ValueError, "need T, T_K > 0", lambda tmp: _sandwich(T_K=0.0)),
+    (ValueError, "need T, T_K > 0", lambda tmp: _sandwich(T_K=-1.0)),
+    (ValueError, "need T, T_K > 0", lambda tmp: _sandwich(T=math.nan)),
+    (ValueError, "R_threshold must be positive", lambda tmp: ql.alignment_report(_h3(), math.nan)),
+    (ValueError, "R_threshold must be positive", lambda tmp: ql.alignment_report(_h3(), -1.0)),
+    (ValueError, "must be finite", lambda tmp: _periodize_at((math.nan, 0.0))),
 ], ids=["palm-T", "palm-S", "autocorrelation-T", "autocorrelation-range", "twisted-density",
-        "twisted-density-schedule", "diffraction-atom", "cli-S-nan", "cli-S-inf", "cli-S-negative"])
-def test_nan_radii_are_refused(tmp_path, capsys, expected, call):
+        "twisted-density-schedule", "diffraction-atom", "cli-S-nan", "cli-S-inf", "cli-S-negative",
+        "sandwich-negative-h", "sandwich-zero-h", "sandwich-nan-h", "sandwich-coarse-h", "sandwich-zero-T_K",
+        "sandwich-negative-T_K", "sandwich-nan-T", "alignment-nan-R", "alignment-negative-R",
+        "periodization-nan-q"])
+def test_nan_radii_are_refused(tmp_path, capsys, expected, match, call):
     # Every comparison with NaN is false, so each check must be one NaN fails.
-    with pytest.raises(expected):
+    with pytest.raises(expected, match=match):
         call(tmp_path)
     assert not (tmp_path / "s.csv").exists()

@@ -166,19 +166,11 @@ def test_ball_volumes():
     assert ql.gauge_ball_volume(0, 2, 3.0) == pytest.approx(math.pi * 9.0)
 
 
-def test_mul_rows_matches_elementwise():
+def test_gauge_rows_matches_gauge():
     H = ql.heisenberg_group()
     rng = np.random.default_rng(11)
-    z1 = rng.integers(-20, 21, size=(30, 1)).astype(float)
-    q1 = rng.integers(-20, 21, size=(30, 2)).astype(float)
-    z2 = rng.integers(-20, 21, size=(30, 1)).astype(float)
-    q2 = rng.integers(-20, 21, size=(30, 2)).astype(float)
-    z, q = H.mul_rows(z1, q1, z2, q2)
-    for i in range(30):
-        g = ql.GroupElement(z=tuple(z1[i]), q=tuple(q1[i]))
-        h = ql.GroupElement(z=tuple(z2[i]), q=tuple(q2[i]))
-        gh = H.mul(g, h)
-        assert tuple(z[i]) == gh.z and tuple(q[i]) == gh.q
+    z = rng.integers(-800, 801, size=(30, 1)).astype(float)
+    q = rng.integers(-40, 41, size=(30, 2)).astype(float)
     gauges = H.gauge_rows(z, q)
     for i in range(30):
         assert gauges[i] == pytest.approx(

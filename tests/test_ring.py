@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import quasilat as ql
 from quasilat import QuadInt
 from quasilat.errors import CoefficientOverflowError, RadicandMismatchError
-from quasilat.ring import embed_many
 
 ints = st.integers(min_value=-10**6, max_value=10**6)
 small_ints = st.integers(min_value=-500, max_value=500)
@@ -53,10 +52,7 @@ def test_embeddings_match_floats(a, b):
     x = QuadInt(a, b, 2)
     assert x.embed() == pytest.approx(a + b * math.sqrt(2), abs=1e-9)
     assert x.embed_star() == pytest.approx(a - b * math.sqrt(2), abs=1e-9)
-    assert x.is_zero == (a == 0 and b == 0)
     assert x.key() == (a, b)
-    assert ql.star(x) == x.conjugate()
-    assert ql.quad_mul(x, x) == x * x
 
 
 def test_radicand_mismatch_rejected():
@@ -138,11 +134,6 @@ def test_model_set_1d_matches_silver_points():
     np.testing.assert_allclose(patch.z[:, 0], [p.embed() for p in pts], atol=1e-12)
     assert patch.window_z == 20.0 and patch.core_z == 20.0
     assert patch.exact is not None
-
-
-def test_embed_many_matches_loop():
-    pts = ql.silver_points(-1, 1, 15.0)
-    np.testing.assert_allclose(embed_many(pts), [p.embed() for p in pts], atol=0.0)
 
 
 def silver_oracle(lo, hi, T, d=2):

@@ -121,6 +121,73 @@ def test_palm_profile_matches_double_loop(split_patch):
         sp.palm_coefficient(P, sp.character(0.0), S, T))
 
 
+def plain_phases(z, thetas):
+    """exp(-2 pi i <z, theta>) without the +-z fold, a lone theta twinned
+    as in _phase_columns so that numpy sums it in the same order."""
+    th = np.repeat(thetas, 1 + (len(thetas) == 1), axis=0)
+    return np.exp(-2j * math.pi * (z @ th.T))
+
+
+def fold_cases():
+    """(z, thetas) pairs; the first has over a million arguments."""
+    rng = np.random.default_rng(17)
+    z = rng.uniform(-300.0, 300.0, (1000, 1))
+    z = np.concatenate([z, -z, [[0.0], [-0.0]]])
+    th = np.concatenate([rng.uniform(-10.0, 10.0, (500, 1)), [[0.0], [-0.0]]])
+    line = rng.uniform(-100.0, 100.0, (3000, 1)) * math.sqrt(2.0)
+    zeros = np.array([[0.0], [-0.0], [-0.0], [2.5], [-2.5]])
+    return {
+        "mirrored rows and signed zeros": (z, th),
+        "lone theta": (z, th[:1]),
+        "lone zero theta": (z, np.array([[-0.0]])),
+        "float line without mirror pairs": (line, th[:40]),
+        "only signed zeros": (zeros, np.array([[0.0], [-0.0], [0.25], [-0.25]])),
+    }
+
+
+@pytest.mark.parametrize("case", list(fold_cases()))
+def test_folded_phases_keep_every_byte(case):
+    z, th = fold_cases()[case]
+    want = plain_phases(z, th)
+    for twin in (True, False):
+        got = sp._phase_columns(z, th, sp._fold(z), twin=twin)
+        assert got.tobytes() == (want if twin else want[:, : len(th)]).tobytes()
+
+
+def test_silver_bragg_scan_forms_exp_on_half_the_rows(monkeypatch):
+    # The silver set is symmetric under z -> -z, so each column needs exp at
+    # one row per distinct |z| only.
+    P = ql.model_set_1d(1, 400.0)
+    T = 300.0
+    n = np.count_nonzero(np.abs(P.z[:, 0]) <= T + BALL_PAD)
+    rows = []
+    exp = np.exp
+
+    def counting(x, *args, **kw):
+        rows.append(np.shape(x)[0])
+        return exp(x, *args, **kw)
+
+    monkeypatch.setattr(np, "exp", counting)
+    ql.bragg_scan(P, 0.5, 1.0, 0.01, 0.0, T)
+    assert rows and max(rows) <= math.ceil(n / 2) + 1
+
+
+def test_phase_blocks_stay_small():
+    # Blocks of 32,768 entries keep the phase table in cache; at 1,000,000
+    # entries each call below peaked above 30 MB.
+    P = ql.model_set_1d(1, 8000.0)
+    peaks = []
+    for call in (lambda: ql.bragg_scan(P, 0.5, 10.0, 1e-3, 0.0, 300.0),
+                 lambda: sp.palm_profile(P, np.linspace(-1.0, 1.0, 401), 0.0, 7000.0)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 8 * 2**20 and peaks[1] < 12 * 2**20
+
+
 def per_row_palm(P, thetas, S, T):
     """Reference for fibered palm_profile: one phase per row, rows with
     |z| > T masked to zero, reduceat over every fiber, then the fibers
@@ -130,7 +197,7 @@ def per_row_palm(P, thetas, S, T):
     zmask = np.sqrt(np.sum(z * z, axis=1)) <= T + BALL_PAD
     heads = order[bounds[:-1]]
     sel = np.sqrt(np.sum(P.q[heads] * P.q[heads], axis=1)) <= S + BALL_PAD
-    phases = sp._phase_columns(z, thetas) * zmask[:, None]
+    phases = plain_phases(z, thetas) * zmask[:, None]
     sums = np.add.reduceat(phases, bounds[:-1], axis=0)
     dens = np.abs(sums / ql.ball_volume(P.dim_z, T)) ** 2
     return (dens[sel].sum(axis=0) / ql.ball_volume(P.dim_q, S))[: len(thetas)]
@@ -204,9 +271,9 @@ def test_fibered_palm_forms_one_phase_per_distinct_z(h3_lattice, monkeypatch):
     sizes = []
     phase_columns = sp._phase_columns
 
-    def counting(z, thetas):
+    def counting(z, thetas, *args):
         sizes.append(len(z))
-        return phase_columns(z, thetas)
+        return phase_columns(z, thetas, *args)
 
     monkeypatch.setattr(sp, "_phase_columns", counting)
     sp.palm_profile(h3_lattice, np.linspace(-1.0, 1.0, 41), 12.0, 40.0)
@@ -220,7 +287,7 @@ def full_palm(P, thetas, S, T):
     if P.dim_q:
         return per_row_palm(P, thetas, S, T)
     zm = P.z[np.sqrt(np.sum(P.z * P.z, axis=1)) <= T + BALL_PAD]
-    vals = sp._phase_columns(zm, thetas)
+    vals = plain_phases(zm, thetas)
     return (np.abs(vals.sum(axis=0) / ql.ball_volume(P.dim_z, T)) ** 2)[: len(thetas)]
 
 
@@ -335,6 +402,7 @@ def density_cases():
         "float line, lone theta": (line, np.array([[-0.61]]), sp.default_schedule(50.0), 140.0),
         "plane": (plane, rng.uniform(-1.0, 1.0, (30, 2)), sp.default_schedule(20.0), 40.0),
         "plane, lone theta": (plane, np.array([[0.3, -0.7]]), sp.default_schedule(20.0), 40.0),
+        "-0.0 row, negative theta": (np.array([[-0.0], [1.0], [-1.0], [2.5]]), np.array([[-0.25]]), [0.5, 1.0, 3.0], 3.0),
         "no row within the schedule": (np.array([[50.0], [-60.0]]), np.array([[0.2], [-0.2]]), [1.0, 2.0], 70.0),
     }
 
@@ -406,8 +474,8 @@ def test_results_do_not_depend_on_the_theta_blocks(split_patch, monkeypatch):
         assert np.array_equal(whole, np.concatenate(pieces))
         assert whole[0] == sp.palm_coefficient(P, sp.character(thetas[0]), S, T)
     # One theta per block, then a few thetas per block.
-    for budget in (1, 7 * flat.n):
-        monkeypatch.setattr(sp, "_PHASE_BLOCK", budget)
+    for width in (1, 7):
+        monkeypatch.setattr(sp, "_theta_block", lambda n, width=width: width)
         for got, ref in zip(results(), want):
             assert np.array_equal(got, ref)
 
@@ -521,8 +589,8 @@ def test_periodization_is_central_eigenfunction(split_patch):
     P = split_patch
     xi = sp.character(0.3)
     s = sp.split_data(P, xi, 10.0)
-    phi = sp.SampledFunction.on_patch_points(
-        np.array([[0.0, 0.0], [1.0, 0.0], [0.0, -1.0]]), [1.0, 0.5j, -2.0])
+    phi = sp.SampledFunction(points=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, -1.0]]),
+                             values=[1.0, 0.5j, -2.0], support_radius=1.0)
     q = (1.0, -1.0)
     base = sp.twisted_periodization(s, phi, xi, ql.GroupElement(z=(0.25,), q=q))
     assert base != 0j
@@ -534,9 +602,7 @@ def test_periodization_is_central_eigenfunction(split_patch):
 
 
 def test_sampled_function_container():
-    f = sp.SampledFunction.on_patch_points(
-        np.array([[0.0, 0.0], [1.0, 2.0]]), [1.0, 2j])
-    assert f.norm_sq == pytest.approx(5.0)
+    f = sp.SampledFunction(points=np.array([[0.0, 0.0], [1.0, 2.0]]), values=[1.0, 2j], support_radius=2.0)
     vals = f.lookup(np.array([[1.0, 2.0], [0.0, 0.0], [9.0, 9.0]]))
     assert vals[0] == 2j and vals[1] == 1.0 and vals[2] == 0.0
     ind = sp.SampledFunction.indicator([3.0, -4.0])
