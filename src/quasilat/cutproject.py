@@ -29,6 +29,7 @@ from .pointset import (
     ExactCoords,
     PointPatch,
     _axis,
+    _find_rows,
     _flat_patch,
     _grid_rows,
     _is_symmetric_with_identity,
@@ -224,8 +225,8 @@ def check_symplectic_condition(
         keys = triples.key_matrix()
         order, starts = group_rows(keys)
         uniq = order[starts]
-        missing = [i for i, row in zip(uniq, keys[uniq].tolist()) if tuple(row) not in sum_patch.key_set]
-        witness = tuple(triples.take(missing[:1]).embed_z()[0].tolist()) if missing else None
+        missing = uniq[_find_rows(sum_patch.key_matrix, keys[uniq]) < 0]
+        witness = tuple(triples.take(missing[:1]).embed_z()[0].tolist()) if len(missing) else None
     else:
         uniq = np.unique(triple, axis=0)
         dist = _nearest_distance(sum_patch.z, uniq) if sum_patch.n else np.full(len(uniq), np.inf)

@@ -20,8 +20,8 @@ from .cutproject import fiber as extract_fiber
 from .errors import DegenerateBallError, DegenerateDensityError, InsufficientWindowError, WindowShortfallError
 from .group import ball_volume, gauge_ball_volume
 from .pointset import (
-    BALL_PAD, CORE_PAD, QUANT, SEARCH_PAD, ExactCoords, PointPatch,
-    _as_block, _expand_ranges, _fiber_index, _interleave, _mixed_radix, _pair_pieces, _quant_keys, group_rows,
+    BALL_PAD, CORE_PAD, QUANT, SEARCH_PAD, ExactCoords, PointPatch, group_rows,
+    _as_block, _expand_ranges, _fiber_index, _interleave, _mixed_radix, _pair_pieces, _quant_keys, _trapezoid,
 )
 from .spectral import (
     Character,
@@ -339,14 +339,13 @@ def bragg_scan(
 ) -> BraggReport:
     """Scan c_xi over the frequency grid and keep theta with
     c_xi >= (1 - eps) * c_1."""
-    if not (0 < eps < 1):
-        raise ValueError("eps must lie in (0, 1)")
-    m = P.dim_z
-    grid = _frequency_grid(K, h, m)
-    c1 = float(palm_profile(P, np.zeros((1, m)), S, T)[0])
+    if not (0 < eps < 1 and K >= 0):
+        raise ValueError(f"need 0 < eps < 1 and K >= 0, got eps={eps!r}, K={K!r}")
+    grid = _frequency_grid(K, h, P.dim_z)
+    c_values = palm_profile(P, grid, S, T)
+    c1 = float(c_values[len(grid) // 2])  # the grid is symmetric, with theta = 0 in the middle
     if c1 < 1e-9:
         raise DegenerateDensityError(f"c_1 = {c1:.3g} is below 1e-9")
-    c_values = palm_profile(P, grid, S, T)
     mask = c_values >= (1.0 - eps) * c1
     return BraggReport(
         thetas=grid,
@@ -392,6 +391,7 @@ def projection_consistency(
     spacing = float(psi_grid[1] - psi_grid[0])
     if not np.allclose(np.diff(psi_grid), spacing, rtol=0, atol=1e-12):
         raise ValueError("psi grid must be uniform")
+    nodes, node_w, _ = _trapezoid(T, h_z)
     warning = None
     if h_z > spacing + 1e-15:
         warning = (
@@ -405,12 +405,6 @@ def projection_consistency(
         phi_at_points = np.ones(P.n, dtype=complex)
     live = np.flatnonzero(phi_at_points != 0)
     lhs = 0.0 + 0.0j
-    n_steps = int(round(2 * T / h_z))
-    step = 2 * T / n_steps
-    nodes = -T + step * np.arange(n_steps + 1)
-    node_w = np.full(len(nodes), step)
-    node_w[0] *= 0.5
-    node_w[-1] *= 0.5
     if len(live):
         zx = P.z[live, 0]
         amp = phi_at_points[live]

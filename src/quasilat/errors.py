@@ -7,7 +7,7 @@ A request too big to compute raises SizeLimitError, which is also a
 ValueError; a window too small to answer a question raises
 InsufficientWindowError.  SIZE_CAPS is the one table of caps, a row per
 computation it bounds (lattice windows, candidate Minkowski pairs, condition
-triples, coefficient boxes, frequency and probe grids, mixed min_gap,
+triples, coefficient boxes, frequency, probe and quadrature grids, mixed min_gap,
 the cover search), and check_size tests a count against it.  Callers
 form the count from Python ints before any array of that size exists.
 """
@@ -66,6 +66,7 @@ SIZE_CAPS: dict[str, tuple[int, str, str]] = {
     "coefficients": (20_000_000, "coefficient box too large", "shrink T or the window"),
     "frequencies": (40_000_000, "frequency grid too fine", "increase h"),
     "probes": (5_000_000, "probe grid too fine", "increase h"),
+    "quadrature": (5_000_000, "quadrature grid too fine", "increase h"),
     "mixed_probes": (200_000_000, "mixed probe grid too fine for this patch", "increase h"),
     "mixed_gap": (20_000, "min_gap on mixed patches is quadratic", "restrict the patch"),
     "cover_search": (200_000_000, "nearest-point search too large", "restrict the patch"),

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CoefficientOverflowError
+from .errors import CoefficientOverflowError, RadicandMismatchError
 from .ring import COEFF_LIMIT, QuadInt
 
 Matrix = Sequence[Sequence[float]]
@@ -106,7 +106,8 @@ class Cocycle:
         va, vb, wa, wb = (np.asarray(x, dtype=np.int64) for x in (va, vb, wa, wb))
         M = self._stack.astype(np.int64)
         weight = int(np.abs(M).sum(axis=(1, 2)).max(initial=0))
-        if _max_abs(va, vb) * _max_abs(wa, wb) * (1 + d) * weight > COEFF_LIMIT:
+        (av, bv), (aw, bw) = ((_max_abs(a), _max_abs(b)) for a, b in ((va, vb), (wa, wb)))
+        if max(av * aw + d * bv * bw, av * bw + bv * aw) * weight > COEFF_LIMIT:
             raise CoefficientOverflowError("exact cocycle products would exceed the safe limit")
 
         def form(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -151,6 +152,15 @@ class GroupElement:
         return self.z_exact is not None and self.q_exact is not None
 
 
+def _radicand(entries: Sequence[QuadInt], default: int) -> int:
+    """The one radicand of the entries with b != 0, or default when every
+    entry is an integer, which lies in every Z[sqrt d]."""
+    ds = {x.d for x in entries if x.b}
+    if len(ds) > 1:
+        raise RadicandMismatchError(f"mixed radicands {sorted(ds)} in exact coordinates")
+    return ds.pop() if ds else default
+
+
 def element_from_ints(z: Sequence[int], q: Sequence[int], d: int = 2) -> GroupElement:
     return GroupElement(
         z=tuple(float(v) for v in z),
@@ -189,13 +199,8 @@ class CentralExtensionGroup:
         return int(np.linalg.matrix_rank(flat)) == self.dim_q
 
     def identity(self) -> GroupElement:
-        d = 2
-        return GroupElement(
-            z=(0.0,) * self.dim_z,
-            q=(0.0,) * self.dim_q,
-            z_exact=tuple(QuadInt(0, 0, d) for _ in range(self.dim_z)),
-            q_exact=tuple(QuadInt(0, 0, d) for _ in range(self.dim_q)),
-        )
+        """The identity; its integer exact coordinates fit any radicand."""
+        return element_from_ints((0,) * self.dim_z, (0,) * self.dim_q)
 
     def element(self, z: Sequence[float], q: Sequence[float]) -> GroupElement:
         z = tuple(float(v) for v in z)
@@ -216,19 +221,12 @@ class CentralExtensionGroup:
         q = tuple(g.q[i] + h.q[i] for i in range(self.dim_q))
         z_exact = q_exact = None
         if g.is_exact and h.is_exact and self.cocycle.is_integral:
-            q_exact = tuple(g.q_exact[i] + h.q_exact[i] for i in range(self.dim_q))
-            stack = self.cocycle.stack
-            z_exact = []
-            for k in range(self.dim_z):
-                acc = g.z_exact[k] + h.z_exact[k]
-                for i in range(self.dim_q):
-                    for j in range(self.dim_q):
-                        c = int(stack[k, i, j])
-                        if c:
-                            prod = g.q_exact[i] * h.q_exact[j]
-                            acc = acc + QuadInt(c * prod.a, c * prod.b, prod.d)
-                z_exact.append(acc)
-            z_exact = tuple(z_exact)
+            entries = g.z_exact + g.q_exact + h.z_exact + h.q_exact
+            d = _radicand(entries, entries[0].d if entries else 2)
+            ba, bb = self.cocycle.beta_exact(*([[getattr(x, c) for x in e.q_exact]] for e in (g, h) for c in "ab"), d)
+            z_sums = zip(g.z_exact, h.z_exact, ba[0], bb[0])
+            z_exact = tuple(QuadInt(x.a + y.a + int(a), x.b + y.b + int(b), d) for x, y, a, b in z_sums)
+            q_exact = tuple(QuadInt(x.a + y.a, x.b + y.b, d) for x, y in zip(g.q_exact, h.q_exact))
         return GroupElement(z=z, q=q, z_exact=z_exact, q_exact=q_exact)
 
     def inv(self, g: GroupElement) -> GroupElement:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import CoefficientOverflowError
-from .pointset import ExactCoords, PointPatch
+from .pointset import ExactCoords, PointPatch, _find_rows
 from .group import GroupElement, _max_abs
 from .ring import COEFF_LIMIT, QuadInt
 
@@ -296,15 +296,11 @@ def dilation_invariance(
     za, zb = _scale_int_pairs(e.za[idx], e.zb[idx], tz)
     qa, qb = _scale_int_pairs(e.qa[idx], e.qb[idx], tq)
     keys = ExactCoords(za=za, zb=zb, qa=qa, qb=qb, d=e.d).key_matrix()
-    key_set = P.key_set
-    missing = np.array(
-        [tuple(row) not in key_set for row in keys.tolist()], dtype=bool
-    )
+    missing = _find_rows(P.key_matrix, keys) < 0
     if not missing.any():
         return DilationReport(True, None, tested_z, tested_q, n_tested, mode)
     bad = idx[missing]
-    g = P.group
-    gauges = np.array([g.gauge(P.element(int(i))) for i in bad])
+    gauges = P.group.gauge_rows(P.z[bad], P.q[bad])
     coords = np.column_stack([P.z[bad], P.q[bad]])
     order = np.lexsort(tuple(-coords[:, c] for c in range(coords.shape[1] - 1, -1, -1)) + (gauges,))
     witness = P.element(int(bad[order[0]]))

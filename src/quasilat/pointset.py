@@ -23,9 +23,10 @@ from .errors import (
     BoundaryUnsoundError,
     CoefficientOverflowError,
     InsufficientWindowError,
+    RadicandMismatchError,
     check_size,
 )
-from .group import CentralExtensionGroup, GroupElement, _max_abs, abelian_group
+from .group import CentralExtensionGroup, GroupElement, _max_abs, _radicand, abelian_group
 from .ring import COEFF_LIMIT, QuadInt, check_radicand
 
 QUANT = 1e-9  # float coordinates closer than this collapse to one key
@@ -33,7 +34,6 @@ SEARCH_PAD = 1e-9  # widens a search window or a grid count so rounding drops no
 BALL_PAD = 1e-12  # a row or pair at distance <= r + BALL_PAD lies in the closed ball or box
 CORE_PAD = 1e-9  # spectral and diffraction refuse radii beyond core + CORE_PAD
 BOUNDARY_PAD = 1e-12  # probe boxes beyond core + BOUNDARY_PAD raise BoundaryUnsoundError
-_PAIR_GUARD = 2 ** 30  # inputs to exact products stay below this
 
 
 @dataclass(frozen=True)
@@ -163,6 +163,18 @@ def group_rows(keys: np.ndarray, tiebreak: Sequence[np.ndarray] = ()) -> tuple[n
     return order, np.flatnonzero(new)
 
 
+def _find_rows(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Index of each query row among the integer key rows of table (its
+    first row when a key repeats), or -1 when the row is absent."""
+    n = len(table)
+    order, starts = group_rows(np.vstack([table, queries]))
+    # A run lists its rows in index order, so it starts with a table row if it has one.
+    head = order[starts]
+    found = np.empty(len(order), dtype=np.int64)
+    found[order] = np.repeat(np.where(head < n, head, -1), np.diff(np.append(starts, len(order))))
+    return found[n:]
+
+
 def _fiber_index(q_keys: np.ndarray, z0: np.ndarray):
     """Rows grouped into fibers of equal q-key, ascending in z0 inside
     each.  Returns (order, starts, edge): fiber j is order[starts[j]:
@@ -263,10 +275,6 @@ class PointPatch:
     @cached_property
     def q_key_matrix(self) -> np.ndarray:
         return self.exact.q_key_matrix() if self.exact is not None else _quant_keys(self.q)
-
-    @cached_property
-    def key_set(self) -> set[tuple[int, ...]]:
-        return {tuple(row) for row in self.key_matrix.tolist()}
 
     def element(self, i: int) -> GroupElement:
         z_exact = q_exact = None
@@ -566,8 +574,6 @@ def minkowski(p1: PointPatch, p2: PointPatch, z_box: float = math.inf, q_box: fl
     # Count in a first search and form the pairs in a second, so no more
     # than one block of ranges is held before the cap is checked.
     check_size("product", sum(int((hi - lo).sum()) for _, lo, hi in pieces()))
-    if exact_keys and max(e1.max_abs(), e2.max_abs()) > _PAIR_GUARD:
-        raise CoefficientOverflowError("exact coordinates too large for pairwise products")
     kept = []
     for x, lo, hi in pieces():
         rows, cols = _expand_ranges(lo, hi)
@@ -609,23 +615,21 @@ def inverse_set(p: PointPatch) -> PointPatch:
 
 
 def _is_symmetric_with_identity(p: PointPatch) -> bool:
-    """Whether p contains the identity and is closed under inversion."""
-    if (0,) * p.key_matrix.shape[1] not in p.key_set:
-        return False
-    return {tuple(row) for row in inverse_set(p).key_matrix.tolist()} == p.key_set
+    """Whether p contains the identity and is closed under inversion.  The
+    key of x^-1 is minus the key of x: exact keys negate, and np.round
+    rounds half to even, so quantized keys negate too."""
+    keys = p.key_matrix
+    return bool(np.all(_find_rows(keys, np.vstack([np.zeros((1, keys.shape[1]), np.int64), -keys])) >= 0))
 
 
 def translate(p: PointPatch, g_elt: GroupElement) -> PointPatch:
     """Left translate {g*x : x in p} with honest core shrinkage."""
     g = p.group
-    exact_keys = (
-        p.exact is not None
-        and g_elt.is_exact
-        and g.cocycle.is_integral
-        and all(x.d == p.exact.d for x in g_elt.z_exact + g_elt.q_exact)
-    )
+    exact_keys = p.exact is not None and g_elt.is_exact and g.cocycle.is_integral
     g_exact = None
     if exact_keys:
+        if _radicand(g_elt.z_exact + g_elt.q_exact, p.exact.d) != p.exact.d:
+            raise RadicandMismatchError(f"translating a patch over Z[sqrt {p.exact.d}] by an element outside it")
         # One row each of za, zb, qa, qb.
         blocks = ([[getattr(x, c) for x in xs]] for xs in (g_elt.z_exact, g_elt.q_exact) for c in "ab")
         g_exact = ExactCoords(*blocks, d=p.exact.d)
@@ -726,6 +730,20 @@ def _grid_rows(axes: Sequence[tuple[int, int, float]], cap: str) -> np.ndarray:
     check_size(cap, _grid_size(axes))
     grids = [np.arange(lo, hi + 1, dtype=float) * step for lo, hi, step in axes]
     return np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def _trapezoid(radius: float, h: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """(nodes, weights, step) of the trapezoid rule on [-radius, radius] in round(2 * radius / h)
+    steps; the node count is checked against the quadrature cap before any array exists."""
+    if not 0 < h <= 2 * radius < math.inf:
+        raise ValueError(f"quadrature step must lie in (0, 2 * radius], got h={h!r} for radius {radius!r}")
+    ratio = 2 * radius / h
+    n_steps = round(ratio) if ratio < math.inf else round(Fraction(2 * radius) / Fraction(h))
+    check_size("quadrature", n_steps + 1)
+    step = 2 * radius / n_steps
+    weights = np.full(n_steps + 1, step)
+    weights[[0, -1]] *= 0.5
+    return -radius + step * np.arange(n_steps + 1), weights, step
 
 
 def covering_radius(

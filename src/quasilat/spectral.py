@@ -24,7 +24,8 @@ from .cutproject import fiber as extract_fiber
 from .cutproject import project
 from .errors import DegenerateBallError, InsufficientWindowError
 from .group import Cocycle, GroupElement, ball_volume
-from .pointset import BALL_PAD, CORE_PAD, PointPatch, _axis, _flat_patch, _grid_rows, _nearest_distance, _quant_keys, group_rows, translate
+from .pointset import BALL_PAD, CORE_PAD, PointPatch, _axis, _find_rows, _flat_patch, _grid_rows, _nearest_distance
+from .pointset import _quant_keys, _trapezoid, group_rows, translate
 
 CONVERGENCE_ABS = 1e-3
 CONVERGENCE_REL = 0.05
@@ -73,10 +74,6 @@ class Character:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "theta", tuple(float(v) for v in self.theta))
-
-    @property
-    def dim(self) -> int:
-        return len(self.theta)
 
     def value(self, z: Sequence[float]) -> complex:
         return cmath.exp(2j * math.pi * float(np.dot(self.theta, z)))
@@ -314,7 +311,7 @@ def palm_coefficient(P: PointPatch, xi: Character, S: float, T: float) -> float:
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Function on Q known through samples at finitely many points."""
+    """Function on Q known through samples at finitely many points, no two with one key."""
 
     points: np.ndarray
     values: np.ndarray
@@ -329,6 +326,8 @@ class SampledFunction:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "support_radius", float(self.support_radius))
+        if len(group_rows(_quant_keys(pts))[1]) < len(pts):
+            raise ValueError("sample points repeat a quantized key")
 
     @classmethod
     def indicator(cls, point: Sequence[float]) -> "SampledFunction":
@@ -338,9 +337,8 @@ class SampledFunction:
 
     def lookup(self, queries: np.ndarray) -> np.ndarray:
         """Values at query rows; unmatched points give 0."""
-        table = dict(zip(map(tuple, _quant_keys(self.points).tolist()), self.values))
         q = np.asarray(queries, dtype=float).reshape(-1, self.points.shape[1])
-        return np.array([table.get(tuple(row), 0.0) for row in _quant_keys(q).tolist()], dtype=complex)
+        return np.append(self.values, 0.0)[_find_rows(_quant_keys(self.points), _quant_keys(q))]
 
 
 @dataclass(frozen=True)
@@ -490,10 +488,7 @@ def sandwich_check(
     zs = Xi.z[:, 0]
     count_inner = int(np.count_nonzero(np.abs(zs) <= T + BALL_PAD))
     count_outer = int(np.count_nonzero(np.abs(zs) <= T + 2 * T_K + BALL_PAD))
-    R = T + T_K
-    n_steps = int(round(2 * R / h))
-    nodes = -R + (2 * R / n_steps) * np.arange(n_steps + 1)
-    step = 2 * R / n_steps
+    nodes, weights, step = _trapezoid(T + T_K, h)
     heights = np.zeros(len(nodes))
     coef = 15.0 / (16.0 * T_K)
     for x in zs[np.abs(zs) <= T + 2 * T_K + BALL_PAD]:
@@ -501,9 +496,6 @@ def sandwich_check(
         hi = np.searchsorted(nodes, x + T_K, side="right")
         u = (nodes[lo:hi] - x) / T_K
         heights[lo:hi] += coef * (1.0 - u * u) ** 2
-    weights = np.full(len(nodes), step)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
     integral = float(np.dot(heights, weights))
     return SandwichReport(
         count_inner=count_inner,

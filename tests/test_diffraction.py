@@ -527,6 +527,17 @@ def test_central_autocorrelation_column(h3_eta):
     assert df.central_autocorrelation(ez) is ez
 
 
+def test_central_autocorrelation_float_keys_match_exact():
+    # need_z = 3^2 + 4^2 + 3 * 4 = 37 <= 40 and need_q = 3 + 4 = 7
+    P = ql.integer_lattice_patch(ql.heisenberg_group(), window_z=40.0, window_q=7.0)
+    exact = df.central_autocorrelation(df.autocorrelation(P, 3.0, 4.0))
+    floats = df.central_autocorrelation(df.autocorrelation(_float_keyed(P), 3.0, 4.0))
+    assert exact.exact is not None and floats.exact is None
+    assert floats.n_atoms == exact.n_atoms == 33
+    assert np.array_equal(floats.weights, exact.weights)
+    assert np.abs(floats.z - exact.z).max() <= QUANT
+
+
 def test_singleton_autocorrelation():
     A = ql.abelian_group(1, 0)
     P = ql.make_patch(group=A, z=np.zeros((1, 1)), q=np.zeros((1, 0)),
@@ -587,6 +598,9 @@ def test_diffraction_atom_matches_manual_average():
         assert got == pytest.approx(manual)
     with pytest.raises(InsufficientWindowError):
         df.diffraction_atom(eta, sp.character(0.0), 4.0)
+    empty = df.WeightedPointMeasure(dim_z=1, dim_q=0, z=np.zeros((0, 1)), q=np.zeros((0, 0)),
+                                    weights=np.zeros(0), range_=5.0, normalization=20.0)
+    assert df.diffraction_atom(empty, sp.character(0.5), 5.0) == 0.0
     H3 = ql.heisenberg_group()
     P = ql.integer_lattice_patch(H3, window_z=10.0, window_q=4.0)
     with pytest.raises(ValueError):
@@ -613,8 +627,24 @@ def test_bragg_scan_validation():
     far = ql.make_patch(group=ql.abelian_group(1, 0), z=np.array([[30.0]]),
                         q=np.zeros((1, 0)), window_z=30.0, window_q=0.0,
                         core_z=30.0, core_q=0.0, provenance="far point")
-    with pytest.raises(DegenerateDensityError):
+    with pytest.raises(DegenerateDensityError, match="is below 1e-9"):
         df.bragg_scan(far, eps=0.5, K=1.0, h=0.01, S=1.0, T=20.0)
+    with pytest.raises(ValueError, match="K >= 0"):
+        df.bragg_scan(Z, eps=0.5, K=-1.0, h=0.01, S=1.0, T=30.0)
+
+
+@pytest.mark.parametrize("make, K, h, S, T", [
+    (lambda: ql.model_set_1d(1, 300.0), 2.0, 1e-3, 0.0, 300.0),
+    (lambda: ql.integer_lattice_patch(ql.heisenberg_group(), 40.0, 12.0), 1.0, 0.01, 10.0, 6.0),
+    (lambda: ql.integer_lattice_patch(ql.abelian_group(2), 12.0), 1.0, 0.1, 0.0, 12.0),
+], ids=["silver", "h3", "z2"])
+def test_bragg_scan_reads_c1_from_its_grid(make, K, h, S, T):
+    # The grid is symmetric about theta = 0, so its middle row is the zero frequency.
+    P = make()
+    rep = df.bragg_scan(P, 0.5, K, h, S, T)
+    direct = float(sp.palm_profile(P, np.zeros((1, P.dim_z)), S, T)[0])
+    assert not rep.thetas[len(rep.thetas) // 2].any()
+    assert rep.c_1.hex() == direct.hex()
 
 
 @pytest.fixture(scope="module")

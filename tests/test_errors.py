@@ -4,6 +4,7 @@ import inspect
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import quasilat as ql
@@ -75,6 +76,19 @@ def mixed_probe_grid():
     return lambda: ql.covering_radius(P, h=0.12), probes * P.n
 
 
+def sandwich_quadrature():
+    Z = ql.integer_lattice_patch(A1, 30.0)
+    return lambda: sp.sandwich_check(Z, 5.0, T_K=1.0, h=1e-8), round(12.0 / 1e-8) + 1
+
+
+def projection_quadrature():
+    Z = ql.integer_lattice_patch(A1, 20.0)
+    grid = np.linspace(-0.5, 0.5, 101)
+    phi = sp.SampledFunction.indicator([])
+    return (lambda: df.projection_consistency(Z, grid, np.ones(101), phi, sp.character(0.0), 16.0, 1e-7),
+            round(32.0 / 1e-7) + 1)
+
+
 def mixed_min_gap():
     P = ql.integer_lattice_patch(H3, 2.0, 32.0)
     return lambda: ql.min_gap(P), P.n
@@ -88,6 +102,8 @@ def mixed_min_gap():
     ("frequencies", 40_000_000, frequency_grid),
     ("frequencies", 40_000_000, bragg_grid),
     ("probes", 5_000_000, probe_grid),
+    ("quadrature", 5_000_000, sandwich_quadrature),
+    ("quadrature", 5_000_000, projection_quadrature),
     ("mixed_probes", 200_000_000, mixed_probe_grid),
     ("mixed_gap", 20_000, mixed_min_gap),
 ], ids=lambda v: v.__name__ if callable(v) else str(v))
@@ -127,7 +143,8 @@ def test_grid_radii_must_be_finite():
     ("probes", lambda Z: ql.covering_radius(Z, h=1e-320)),
     ("frequencies", lambda Z: df.bragg_scan(Z, 0.5, 0.5, 1e-320, 0.0, 5.0)),
     ("mixed_probes", lambda Z: ql.covering_radius(ql.integer_lattice_patch(H3, 2.0, 1.0), h=1e-170)),
-], ids=["covering_radius", "bragg_scan", "mixed_covering_radius"])
+    ("quadrature", lambda Z: sp.sandwich_check(Z, 5.0, h=1e-320)),
+], ids=["covering_radius", "bragg_scan", "mixed_covering_radius", "sandwich_check"])
 def test_grid_steps_whose_count_overflows_a_float_hit_the_cap(cap, call):
     # radius / h (or h * h) leaves the float range; the count is taken exactly.
     Z = ql.integer_lattice_patch(A1, 30.0)
@@ -162,6 +179,12 @@ def _sandwich(T=5.0, T_K=1.0, h=1e-3):
     return sp.sandwich_check(ql.integer_lattice_patch(A1, 30.0), T, T_K=T_K, h=h)
 
 
+def _project(h_z, T=16.0):
+    grid = np.linspace(-0.5, 0.5, 101)
+    return df.projection_consistency(ql.integer_lattice_patch(A1, 20.0), grid, np.ones(101),
+                                     sp.SampledFunction.indicator([]), sp.character(0.0), T, h_z)
+
+
 def _h3():
     return ql.integer_lattice_patch(H3, 12.0, 3.0)
 
@@ -191,13 +214,18 @@ def _periodize_at(q):
     (ValueError, "need T, T_K > 0", lambda tmp: _sandwich(T_K=0.0)),
     (ValueError, "need T, T_K > 0", lambda tmp: _sandwich(T_K=-1.0)),
     (ValueError, "need T, T_K > 0", lambda tmp: _sandwich(T=math.nan)),
+    (ValueError, "quadrature step must lie", lambda tmp: _project(-0.1)),
+    (ValueError, "quadrature step must lie", lambda tmp: _project(math.nan)),
+    (ValueError, "quadrature step must lie", lambda tmp: _project(100.0)),
+    (ValueError, "quadrature step must lie", lambda tmp: _project(1e-3, T=math.nan)),
     (ValueError, "R_threshold must be positive", lambda tmp: ql.alignment_report(_h3(), math.nan)),
     (ValueError, "R_threshold must be positive", lambda tmp: ql.alignment_report(_h3(), -1.0)),
     (ValueError, "must be finite", lambda tmp: _periodize_at((math.nan, 0.0))),
 ], ids=["palm-T", "palm-S", "autocorrelation-T", "autocorrelation-range", "twisted-density",
         "twisted-density-schedule", "diffraction-atom", "cli-S-nan", "cli-S-inf", "cli-S-negative",
         "sandwich-negative-h", "sandwich-zero-h", "sandwich-nan-h", "sandwich-coarse-h", "sandwich-zero-T_K",
-        "sandwich-negative-T_K", "sandwich-nan-T", "alignment-nan-R", "alignment-negative-R",
+        "sandwich-negative-T_K", "sandwich-nan-T", "projection-negative-h", "projection-nan-h",
+        "projection-coarse-h", "projection-nan-T", "alignment-nan-R", "alignment-negative-R",
         "periodization-nan-q"])
 def test_nan_radii_are_refused(tmp_path, capsys, expected, match, call):
     # Every comparison with NaN is false, so each check must be one NaN fails.

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import quasilat as ql
+from quasilat.errors import RadicandMismatchError
 
 coord = st.integers(min_value=-50, max_value=50)
 triple = st.tuples(coord, coord, coord)
@@ -87,6 +88,23 @@ def test_h3_is_nondegenerate_nonabelian():
     assert H.dim_z == 1 and H.dim_q == 2
     e = H.identity()
     assert e.z == (0.0,) and e.q == (0.0, 0.0)
+
+
+def test_integers_take_the_radicand_of_the_other_factor():
+    H = ql.heisenberg_group()
+    r3 = ql.QuadInt(1, 1, 3)
+    e = ql.GroupElement(z=(r3.embed(),), q=(r3.embed(), 2.0), z_exact=(r3,), q_exact=(r3, ql.QuadInt(2, 0, 3)))
+    assert H.mul(e, H.identity()) == e
+    assert H.mul(H.identity(), e) == e
+    # z = r3 + 1 + beta((r3, 2), (0, 1)) = 3 + 2 sqrt 3, with the integers of h read in Z[sqrt 3]
+    gh = H.mul(e, ql.element_from_ints([1], [0, 1]))
+    assert gh.z_exact == (ql.QuadInt(3, 2, 3),) and gh.q_exact == (r3, ql.QuadInt(3, 0, 3))
+    # beta = 2**60 fits: the bound weighs the a and b parts apart, so d only scales b * b
+    big = H.mul(ql.element_from_ints([0], [2 ** 30, 0]), ql.element_from_ints([0], [0, 2 ** 30]))
+    assert big.z_exact == (ql.QuadInt(2 ** 60, 0, 2),)
+    r2 = ql.QuadInt(0, 1, 2)
+    with pytest.raises(RadicandMismatchError):
+        H.mul(e, ql.GroupElement(z=(0.0,), q=(r2.embed(), 0.0), z_exact=(ql.QuadInt(0, 0, 2),), q_exact=(r2, r2 - r2)))
 
 
 def test_abelian_extension_mul_has_no_twist():

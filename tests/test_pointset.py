@@ -15,6 +15,7 @@ from quasilat.errors import (
     BoundaryUnsoundError,
     CoefficientOverflowError,
     InsufficientWindowError,
+    RadicandMismatchError,
     SizeLimitError,
 )
 from quasilat.pointset import _PAIR_CHUNK, _beta_rows, group_rows
@@ -114,7 +115,7 @@ def test_exact_keys_match_floats():
     )
     km = t.key_matrix
     assert km.shape == (t.n, 2)
-    assert len(t.key_set) == t.n
+    assert len(np.unique(km, axis=0)) == t.n
 
 
 def test_minkowski_flat_exact_matches_set_arithmetic():
@@ -243,9 +244,9 @@ def test_inverse_set_matches_group_inverse():
     }
     assert got == want
     twice = ql.inverse_set(inv)
-    assert twice.key_set == P.key_set
+    assert np.array_equal(twice.key_matrix, P.key_matrix)
     # the integer lattice is symmetric, so inversion permutes it
-    assert inv.key_set == P.key_set
+    assert np.array_equal(inv.key_matrix, P.key_matrix)
 
 
 def test_translate_matches_group_multiplication():
@@ -313,6 +314,48 @@ def test_translate_refuses_a_sum_beyond_the_coefficient_limit():
     g = ql.GroupElement(z=(2.0 ** 62,), q=(v.embed(), -v.embed()),
                         z_exact=(ql.QuadInt(2 ** 62, 0, d),), q_exact=(v, ql.QuadInt(-m, -m, d)))
     with pytest.raises(CoefficientOverflowError):
+        ql.translate(P, g)
+
+
+def _flat_exact(values):
+    z = np.array(values, dtype=np.int64).reshape(-1, 1)
+    exact = ql.ExactCoords.from_int_rows(z, np.zeros((len(z), 0)))
+    return ql.patch_from_exact(ql.abelian_group(1), exact, float(max(values)), 0.0, 0.0, 0.0)
+
+
+def test_minkowski_forms_exact_sums_of_coordinates_past_two_to_the_thirty():
+    # Sums and cocycle products are bounded where they are formed, so large
+    # coordinates multiply whenever their results fit.
+    P = _flat_exact([2 ** 31, 2 ** 31 + 1])
+    prod = ql.minkowski(P, P)
+    assert prod.exact.za[:, 0].tolist() == [2 ** 32, 2 ** 32 + 1, 2 ** 32 + 2]
+    assert not prod.exact.zb.any()
+    assert ql.translate(P, ql.element_from_ints([2 ** 31], [])).exact.za[:, 0].tolist() == [2 ** 32, 2 ** 32 + 1]
+
+
+def test_minkowski_refuses_sums_and_cocycle_products_past_the_limit():
+    big = _flat_exact([2 ** 61 + 1])
+    with pytest.raises(CoefficientOverflowError):
+        ql.minkowski(big, big)
+    a = 2 ** 31 - 1
+    q = np.array([[a, 0], [0, a]], dtype=np.int64)
+    exact = ql.ExactCoords.from_int_rows(np.zeros((2, 1), dtype=np.int64), q)
+    P = ql.patch_from_exact(ql.heisenberg_group(), exact, 0.0, float(a), 0.0, 0.0)
+    with pytest.raises(CoefficientOverflowError):
+        ql.minkowski(P, P)
+
+
+def test_translate_by_the_identity_keeps_any_radicand():
+    H = ql.heisenberg_group()
+    L = small_h3_patch(window_z=4.0, window_q=1.0).exact
+    exact = ql.ExactCoords(za=L.za, zb=L.qa[:, :1], qa=L.qa, qb=L.qb, d=3)
+    P = ql.patch_from_exact(H, exact, 4.0 + math.sqrt(3), 1.0, 4.0, 1.0)
+    moved = ql.translate(P, H.identity())
+    assert moved.exact is not None and moved.exact.d == 3
+    assert np.array_equal(moved.key_matrix, P.key_matrix)
+    r2 = ql.QuadInt(0, 1, 2)
+    g = ql.GroupElement(z=(r2.embed(),), q=(0.0, 0.0), z_exact=(r2,), q_exact=(ql.QuadInt(0, 0, 2),) * 2)
+    with pytest.raises(RadicandMismatchError):
         ql.translate(P, g)
 
 
@@ -439,6 +482,13 @@ def test_patch_density():
     assert ql.patch_density(Z) == pytest.approx(201 / 200)
     t = ql.model_set_1d(1, 1000.0)
     assert ql.patch_density(t) == pytest.approx(1 / S2, rel=0.01)
+
+
+def test_q_only_patch_gap_and_density():
+    P = ql.integer_lattice_patch(ql.abelian_group(0, 2), 0.0, 3.0)
+    assert P.n == 49
+    assert ql.min_gap(P) == 1.0
+    assert ql.patch_density(P) == 49 / 6 ** 2
 
 
 def test_approximate_group_cover_lattice():
