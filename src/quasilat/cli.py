@@ -324,7 +324,7 @@ def _cmd_fibers(args, parser) -> int:
 
 def _cmd_density(args, parser) -> int:
     _require_positive(parser, T=args.T)
-    if args.ratio <= 1:
+    if not args.ratio > 1:
         parser.error("argument --ratio: must exceed 1")
     P = load_patch(args.inp)
     if len(args.theta) != P.dim_z:

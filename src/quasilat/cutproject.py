@@ -19,6 +19,7 @@ from .errors import (
     BoundaryUnsoundError,
     InsufficientWindowError,
     ThresholdTooSmallError,
+    check_radius,
     check_size,
 )
 from .group import CentralExtensionGroup, Cocycle
@@ -292,11 +293,11 @@ def project(P: PointPatch) -> PointPatch:
     return _flat_patch(P.q, P.window_q, P.core_q, f"project({P.provenance[:50]})", exact)
 
 
-def fiber(P: PointPatch, delta: Sequence[float], tol: float = QUANT) -> np.ndarray:
+def fiber(P: PointPatch, delta: Sequence[float]) -> np.ndarray:
     """z-parts of the points of P sitting over delta, as an (n, dim_z)
     array in canonical order.  An unmatched delta gives an empty array."""
     d = np.asarray(delta, dtype=float).reshape(P.dim_q)
-    mask = np.all(np.abs(P.q - d[None, :]) <= tol, axis=1)
+    mask = np.all(np.abs(P.q - d[None, :]) <= QUANT, axis=1)
     return P.z[mask]
 
 
@@ -345,8 +346,7 @@ def _aligned_fibers(
     """alignment_report with the _core_fibers (order, starts) it classified."""
     if P.dim_q == 0 or P.dim_z == 0:
         raise ValueError("alignment needs both a z block and a q block")
-    if not R_threshold > 0:
-        raise ValueError(f"R_threshold must be positive, got {R_threshold!r}")
+    check_radius("R_threshold", R_threshold)
     z_radius = P.core_z if z_radius is None else float(z_radius)
     if not z_radius >= 0:
         raise ValueError("probe radii must be non-negative")

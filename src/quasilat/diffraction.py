@@ -17,15 +17,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cutproject import fiber as extract_fiber
-from .errors import DegenerateBallError, DegenerateDensityError, InsufficientWindowError, WindowShortfallError
+from .errors import CORE_PAD, DegenerateDensityError, InsufficientWindowError, check_core, check_radius
 from .group import ball_volume, gauge_ball_volume
 from .pointset import (
-    BALL_PAD, CORE_PAD, QUANT, SEARCH_PAD, ExactCoords, PointPatch, group_rows,
+    BALL_PAD, QUANT, SEARCH_PAD, ExactCoords, PointPatch, group_rows,
     _as_block, _expand_ranges, _fiber_index, _interleave, _mixed_radix, _pair_pieces, _quant_keys, _trapezoid,
 )
 from .spectral import (
     Character,
     SampledFunction,
+    _check_palm_radii,
     _frequency_grid,
     _max_gap,
     palm_profile,
@@ -64,12 +65,12 @@ class WeightedPointMeasure:
     def n_atoms(self) -> int:
         return len(self.weights)
 
-    def weight_at(self, z: Sequence[float], q: Sequence[float] = (), tol: float = QUANT) -> float:
+    def weight_at(self, z: Sequence[float], q: Sequence[float] = ()) -> float:
         zq = np.asarray(z, dtype=float).reshape(self.dim_z)
         qq = np.asarray(q, dtype=float).reshape(self.dim_q)
-        mask = np.all(np.abs(self.z - zq[None, :]) <= tol, axis=1)
+        mask = np.all(np.abs(self.z - zq[None, :]) <= QUANT, axis=1)
         if self.dim_q:
-            mask &= np.all(np.abs(self.q - qq[None, :]) <= tol, axis=1)
+            mask &= np.all(np.abs(self.q - qq[None, :]) <= QUANT, axis=1)
         idx = np.flatnonzero(mask)
         return float(self.weights[idx].sum()) if len(idx) else 0.0
 
@@ -245,27 +246,16 @@ def autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedPointMeas
         raise InsufficientWindowError("empty patch")
     T = float(T)
     range_ = float(range_)
-    if not (T > 0 and range_ > 0):
-        raise ValueError("T and range must be positive")
+    check_radius("T", T)
+    check_radius("range", range_)
     if P.dim_z == 0:
         raise ValueError("autocorrelation needs a central coordinate")
     if P.dim_q == 0:
-        need = T + range_
-        if not need <= P.core_z + CORE_PAD:
-            raise WindowShortfallError(
-                f"averaging to T={T:.6g} with range {range_:.6g} needs core "
-                f"{need:.6g}, patch has {P.core_z:.6g}"
-            )
+        check_core("T + range", T + range_, P.core_z)
     else:
+        check_core("T + range in q", T + range_, P.core_q)
         drift = P.group.cocycle.drift_bound
-        need_q = T + range_
-        need_z = T * T + range_ * range_ + drift * T * range_
-        if not (need_q <= P.core_q + CORE_PAD and need_z <= P.core_z + CORE_PAD):
-            raise WindowShortfallError(
-                f"averaging to T={T:.6g} with range {range_:.6g} needs cores "
-                f"(z={need_z:.6g}, q={need_q:.6g}), patch has "
-                f"(z={P.core_z:.6g}, q={P.core_q:.6g})"
-            )
+        check_core("T^2 + range^2 + drift T range in z", T * T + range_ * range_ + drift * T * range_, P.core_z)
     return _window_autocorrelation(P, T, range_)
 
 
@@ -297,8 +287,7 @@ def diffraction_atom(eta_e: WeightedPointMeasure, xi: Character, T: float) -> fl
     central autocorrelation, estimating the diffraction atom at xi."""
     if eta_e.dim_q != 0:
         raise ValueError("expected a central (q = 0) measure")
-    if not T > 0:
-        raise DegenerateBallError(f"Wiener radius T={T:.6g} must be positive")
+    check_radius("T", T)
     if eta_e.n_atoms == 0:
         return 0.0
     norms = np.sqrt(np.sum(eta_e.z * eta_e.z, axis=1))
@@ -341,6 +330,7 @@ def bragg_scan(
     c_xi >= (1 - eps) * c_1."""
     if not (0 < eps < 1 and K >= 0):
         raise ValueError(f"need 0 < eps < 1 and K >= 0, got eps={eps!r}, K={K!r}")
+    _check_palm_radii(P, S, T)  # before the grid exists
     grid = _frequency_grid(K, h, P.dim_z)
     c_values = palm_profile(P, grid, S, T)
     c1 = float(c_values[len(grid) // 2])  # the grid is symmetric, with theta = 0 in the middle

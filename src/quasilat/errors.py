@@ -8,10 +8,18 @@ ValueError; a window too small to answer a question raises
 InsufficientWindowError.  SIZE_CAPS is the one table of caps, a row per
 computation it bounds (lattice windows, candidate Minkowski pairs, condition
 triples, coefficient boxes, frequency, probe and quadrature grids, mixed min_gap,
-the cover search), and check_size tests a count against it.  Callers
+the cover search, T schedules), and check_size tests a count against it.  Callers
 form the count from Python ints before any array of that size exists.
+
+Beside it, check_radius refuses an averaging radius that is not positive and
+finite with DegenerateBallError, also a ValueError, and check_core refuses every
+reach past a trusted core by more than CORE_PAD with WindowShortfallError.
 """
 from __future__ import annotations
+
+import math
+
+CORE_PAD = 1e-9  # a reach beyond core + CORE_PAD leaves the trusted core
 
 
 class QuasilatError(Exception):
@@ -35,15 +43,15 @@ class BoundaryUnsoundError(QuasilatError):
 
 
 class WindowShortfallError(InsufficientWindowError):
-    """An averaging radius plus range cutoff exceeds the patch core."""
+    """An average reaches past the trusted core of the patch."""
 
 
 class ThresholdTooSmallError(QuasilatError):
     """No fiber satisfies the requested relative-denseness threshold."""
 
 
-class DegenerateBallError(QuasilatError):
-    """An averaging ball has radius <= 0, so its volume vanishes."""
+class DegenerateBallError(QuasilatError, ValueError):
+    """An averaging radius is not positive and finite."""
 
 
 class DegenerateDensityError(QuasilatError):
@@ -70,6 +78,7 @@ SIZE_CAPS: dict[str, tuple[int, str, str]] = {
     "mixed_probes": (200_000_000, "mixed probe grid too fine for this patch", "increase h"),
     "mixed_gap": (20_000, "min_gap on mixed patches is quadratic", "restrict the patch"),
     "cover_search": (200_000_000, "nearest-point search too large", "restrict the patch"),
+    "schedule": (10_000, "T schedule too long", "increase the ratio"),
 }
 
 
@@ -78,3 +87,15 @@ def check_size(cap: str, count: int) -> None:
     limit, what, remedy = SIZE_CAPS[cap]
     if count > limit:
         raise SizeLimitError(f"{what}: {count} exceeds the cap of {limit}; {remedy}")
+
+
+def check_radius(name: str, r: float) -> None:
+    """Raise DegenerateBallError unless 0 < r < inf; NaN fails."""
+    if not 0 < r < math.inf:
+        raise DegenerateBallError(f"{name} must be positive and finite, got {name}={r:.6g}")
+
+
+def check_core(name: str, reach: float, core: float) -> None:
+    """Raise WindowShortfallError unless reach <= core + CORE_PAD; NaN fails."""
+    if not reach <= core + CORE_PAD:
+        raise WindowShortfallError(f"{name} reaches {reach:.6g}, beyond the trusted core {core:.6g}")

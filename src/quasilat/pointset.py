@@ -32,7 +32,6 @@ from .ring import COEFF_LIMIT, QuadInt, check_radicand
 QUANT = 1e-9  # float coordinates closer than this collapse to one key
 SEARCH_PAD = 1e-9  # widens a search window or a grid count so rounding drops no candidate
 BALL_PAD = 1e-12  # a row or pair at distance <= r + BALL_PAD lies in the closed ball or box
-CORE_PAD = 1e-9  # spectral and diffraction refuse radii beyond core + CORE_PAD
 BOUNDARY_PAD = 1e-12  # probe boxes beyond core + BOUNDARY_PAD raise BoundaryUnsoundError
 
 
@@ -449,15 +448,6 @@ def integer_lattice_patch(
     )
 
 
-def _beta_rows(cocycle, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """cocycle.beta(v[r], w[r]) for (n, dim_q) row arrays, with the bits
-    the all-pairs form cocycle.beta(v[:, None], w[None]) gives those
-    pairs.  Coordinates first puts the rows on einsum's inner loop, which
-    is several times faster, and each row still sums its terms in (i, j)
-    order."""
-    return np.einsum("kij,i...,j...->...k", cocycle.stack, np.ascontiguousarray(v.T), np.ascontiguousarray(w.T))
-
-
 def _pair_products(
     p1: PointPatch, p2: PointPatch, x: np.ndarray, y: np.ndarray, exact_keys: bool
 ) -> tuple[np.ndarray, np.ndarray, Optional[ExactCoords]]:
@@ -474,7 +464,7 @@ def _pair_products(
     (z1, q1), (z2, q2) = rows((p1.z, p1.q), x), rows((p2.z, p2.q), y)
     z = z1 + z2
     if mixed:
-        z = z + _beta_rows(g.cocycle, q1, q2)
+        z = z + g.cocycle.beta(q1, q2)
     if not exact_keys:
         return z, q1 + q2, None
     fields = ("za", "zb", "qa", "qb")
@@ -525,7 +515,7 @@ def _candidate_ranges(p1: PointPatch, p2: PointPatch, z_box: float, q_box: float
             qx = p1.q[i0 : i0 + step]
             xi, fj = np.nonzero(np.all(np.abs(qx[:, None, :] + deltas[None, :, :]) <= q_box, axis=2))
             x = i0 + xi
-            z1 = p1.z[x, 0] + _beta_rows(g.cocycle, qx[xi], deltas[fj])[:, 0] if g.dim_z else np.zeros(len(x))
+            z1 = p1.z[x, 0] + g.cocycle.beta(qx[xi], deltas[fj])[:, 0] if g.dim_z else np.zeros(len(x))
             lo = edge(fj, -z_box - z1, "left")
             hi = edge(fj, z_box - z1, "right")
             keep = hi > lo
@@ -669,8 +659,6 @@ def _nearest_distance(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 
 def _flat_min_gap(coords: np.ndarray) -> float:
-    if len(coords) < 2:
-        return math.inf
     if coords.shape[1] == 1:
         vals = np.sort(coords[:, 0])
         return float(np.min(np.diff(vals)))

@@ -108,9 +108,6 @@ class QuadInt:
     def embed_star(self) -> float:
         return self.a - self.b * math.sqrt(self.d)
 
-    def key(self) -> tuple[int, int]:
-        return (self.a, self.b)
-
 
 def linear_le(a: int, b: int, bound: RationalLike, d: int = 2) -> bool:
     """Decide a + b*sqrt(d) <= bound exactly for rational bound.

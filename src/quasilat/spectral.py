@@ -22,9 +22,9 @@ import numpy as np
 
 from .cutproject import fiber as extract_fiber
 from .cutproject import project
-from .errors import DegenerateBallError, InsufficientWindowError
+from .errors import check_core, check_radius, check_size
 from .group import Cocycle, GroupElement, ball_volume
-from .pointset import BALL_PAD, CORE_PAD, PointPatch, _axis, _find_rows, _flat_patch, _grid_rows, _nearest_distance
+from .pointset import BALL_PAD, PointPatch, _axis, _find_rows, _flat_patch, _grid_rows, _nearest_distance
 from .pointset import _quant_keys, _trapezoid, group_rows, translate
 
 CONVERGENCE_ABS = 1e-3
@@ -88,14 +88,15 @@ def character(*theta: float) -> Character:
     return Character(theta=tuple(theta))
 
 
-def default_schedule(T_max: float, ratio: float = 1.3, T_min: float = 1.0) -> tuple[float, ...]:
-    """Geometric T-schedule ending exactly at T_max."""
-    if T_max <= 0:
-        raise ValueError("T_max must be positive")
-    if ratio <= 1:
-        raise ValueError("ratio must exceed 1")
+def default_schedule(T_max: float, ratio: float = 1.3) -> tuple[float, ...]:
+    """Geometric T-schedule ending exactly at T_max: T_max / ratio**k for
+    every k with T_max / ratio**k >= 1, and T_max alone when T_max < 1."""
+    check_radius("T_max", T_max)
+    if not 1 < ratio < math.inf:
+        raise ValueError(f"ratio must exceed 1 and be finite, got ratio={ratio!r}")
+    check_size("schedule", max(0, math.floor(math.log(T_max) / math.log(ratio))) + 1)
     out = [float(T_max)]
-    while out[-1] / ratio >= T_min:
+    while out[-1] / ratio >= 1.0:
         out.append(out[-1] / ratio)
     return tuple(reversed(out))
 
@@ -146,16 +147,12 @@ def _twisted_densities(
     schedule = [float(t) for t in T_schedule]
     if not schedule or not all(b > a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("T_schedule must be nonempty and strictly increasing")
-    if not schedule[0] > 0:
-        raise ValueError("T values must be positive")
+    check_radius("T", schedule[0])
+    check_radius("T", schedule[-1])
     norms = np.sqrt(np.sum(z * z, axis=1))
     if core is None:
         core = float(norms.max()) if len(norms) else 0.0
-    if not schedule[-1] <= core + CORE_PAD:
-        raise InsufficientWindowError(
-            f"schedule reaches T={schedule[-1]:.6g} but the fiber is only "
-            f"complete to radius {core:.6g}"
-        )
+    check_core("T", schedule[-1], core)
     m = z.shape[1]
     order = np.lexsort(tuple(z[:, k] for k in range(m - 1, -1, -1)) + (norms,))
     cuts = np.searchsorted(norms[order], np.array(schedule) + BALL_PAD, side="right")
@@ -214,6 +211,14 @@ def fiber_partition(P: PointPatch) -> tuple[np.ndarray, np.ndarray]:
     return order, bounds
 
 
+def _check_palm_radii(P: PointPatch, S: float, T: float) -> None:
+    check_radius("T", T)
+    if P.dim_q:
+        check_radius("S", S)
+        check_core("S", S, P.core_q)
+    check_core("T", T, P.core_z)
+
+
 def palm_profile(
     P: PointPatch,
     thetas: np.ndarray,
@@ -231,20 +236,7 @@ def palm_profile(
         thetas = thetas.reshape(-1, 1)
     if thetas.ndim != 2 or thetas.shape[1] != P.dim_z:
         raise ValueError(f"thetas of shape {thetas.shape} do not have dim_z = {P.dim_z} columns")
-    if not T > 0:
-        raise DegenerateBallError(f"averaging radius T={T:.6g} must be positive")
-    if P.dim_q and not S > 0:
-        raise DegenerateBallError(
-            f"Palm radius S={S:.6g} must be positive on a fibered patch"
-        )
-    if P.dim_q and not S <= P.core_q + CORE_PAD:
-        raise InsufficientWindowError(
-            f"S={S:.6g} exceeds the trusted q-core {P.core_q:.6g}"
-        )
-    if not T <= P.core_z + CORE_PAD:
-        raise InsufficientWindowError(
-            f"T={T:.6g} exceeds the trusted z-core {P.core_z:.6g}"
-        )
+    _check_palm_radii(P, S, T)
     inv = slice(None)
     if P.dim_z == 1:
         # One column per |theta|: z * (-theta) = -(z * theta) exactly (BLAS sums
@@ -326,6 +318,8 @@ class SampledFunction:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "support_radius", float(self.support_radius))
+        if not 0 <= self.support_radius < math.inf:
+            raise ValueError(f"support radius must be finite and non-negative, got {self.support_radius!r}")
         if len(group_rows(_quant_keys(pts))[1]) < len(pts):
             raise ValueError("sample points repeat a quantized key")
 
@@ -376,10 +370,7 @@ def twisted_periodization(
     z = np.asarray(at.z, dtype=float)
     if not (np.isfinite(q).all() and np.isfinite(z).all()):
         raise ValueError(f"periodization point must be finite, got z={at.z}, q={at.q}")
-    if q.size and float(np.abs(q).max()) + phi.support_radius > split.Delta.core_z + CORE_PAD:
-        raise InsufficientWindowError(
-            "phi support shifted by q escapes the Delta core"
-        )
+    check_core("|q| + support radius", float(np.abs(q).max(initial=0.0)) + phi.support_radius, split.Delta.core_z)
     deltas = split.Delta.z  # Delta is flat: its z block holds q coordinates
     vals = phi.lookup(q[None, :] + deltas)
     live = np.flatnonzero(vals != 0)
@@ -479,12 +470,9 @@ def sandwich_check(
     """
     if Xi.dim_q or Xi.dim_z != 1:
         raise ValueError("sandwich_check expects a one dimensional flat patch")
-    if not (T > 0 and T_K > 0 and 0 < h <= 2 * (T + T_K)):
-        raise ValueError(f"need T, T_K > 0 and 0 < h <= 2 (T + T_K), got T={T!r}, T_K={T_K!r}, h={h!r}")
-    if Xi.core_z + CORE_PAD < T + 2 * T_K:
-        raise InsufficientWindowError(
-            f"need the patch complete to {T + 2 * T_K:.6g}, core is {Xi.core_z:.6g}"
-        )
+    check_radius("T", T)
+    check_radius("T_K", T_K)
+    check_core("T + 2 T_K", T + 2 * T_K, Xi.core_z)
     zs = Xi.z[:, 0]
     count_inner = int(np.count_nonzero(np.abs(zs) <= T + BALL_PAD))
     count_outer = int(np.count_nonzero(np.abs(zs) <= T + 2 * T_K + BALL_PAD))

@@ -262,6 +262,27 @@ def test_runtime_errors_exit_one(tmp_path, capsys):
     assert code3 == 1 and "error:" in err3
 
 
+@pytest.mark.parametrize("ratio, code, err", [
+    ("nan", 2, "--ratio: must exceed 1"),
+    ("1", 2, "--ratio: must exceed 1"),
+    ("inf", 1, "error: ratio must exceed 1 and be finite"),
+    ("1.000000001", 1, "error: T schedule too long"),
+])
+def test_density_schedule_ratio_is_checked(tmp_path, capsys, ratio, code, err):
+    patch = tmp_path / "z.json"
+    assert main(["generate", "--scheme", "lattice", "--T", "20", "-o", str(patch)]) == 0
+    capsys.readouterr()
+    argv = ["density", "--in", str(patch), "--theta", "0", "--T", "20", "--ratio", ratio]
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    else:
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and err in captured.err
+
+
 def _five_point_line(tmp_path, capsys):
     p = tmp_path / "line.json"
     assert main(["generate", "--scheme", "lattice", "--T", "2", "-o", str(p)]) == 0

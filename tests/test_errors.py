@@ -89,6 +89,12 @@ def projection_quadrature():
             round(32.0 / 1e-7) + 1)
 
 
+def long_schedule():
+    # A ratio just above 1 asks for about 6.9e9 entries.
+    count = math.floor(math.log(1000.0) / math.log(1.000000001)) + 1
+    return lambda: sp.default_schedule(1000.0, ratio=1.000000001), count
+
+
 def mixed_min_gap():
     P = ql.integer_lattice_patch(H3, 2.0, 32.0)
     return lambda: ql.min_gap(P), P.n
@@ -106,6 +112,7 @@ def mixed_min_gap():
     ("quadrature", 5_000_000, projection_quadrature),
     ("mixed_probes", 200_000_000, mixed_probe_grid),
     ("mixed_gap", 20_000, mixed_min_gap),
+    ("schedule", 10_000, long_schedule),
 ], ids=lambda v: v.__name__ if callable(v) else str(v))
 def test_size_caps_refuse_before_allocating(cap, limit, case):
     call, count = case()
@@ -207,13 +214,13 @@ def _periodize_at(q):
     (SystemExit, None, lambda tmp: _cli_spectrum_with_palm_radius(tmp, "nan")),
     (SystemExit, None, lambda tmp: _cli_spectrum_with_palm_radius(tmp, "inf")),
     (SystemExit, None, lambda tmp: _cli_spectrum_with_palm_radius(tmp, "-1")),
-    (ValueError, "need T, T_K > 0", lambda tmp: _sandwich(h=-1e-3)),
-    (ValueError, "need T, T_K > 0", lambda tmp: _sandwich(h=0.0)),
-    (ValueError, "need T, T_K > 0", lambda tmp: _sandwich(h=math.nan)),
-    (ValueError, "need T, T_K > 0", lambda tmp: _sandwich(h=50.0)),
-    (ValueError, "need T, T_K > 0", lambda tmp: _sandwich(T_K=0.0)),
-    (ValueError, "need T, T_K > 0", lambda tmp: _sandwich(T_K=-1.0)),
-    (ValueError, "need T, T_K > 0", lambda tmp: _sandwich(T=math.nan)),
+    (ValueError, "quadrature step must lie", lambda tmp: _sandwich(h=-1e-3)),
+    (ValueError, "quadrature step must lie", lambda tmp: _sandwich(h=0.0)),
+    (ValueError, "quadrature step must lie", lambda tmp: _sandwich(h=math.nan)),
+    (ValueError, "quadrature step must lie", lambda tmp: _sandwich(h=50.0)),
+    (ValueError, "T_K must be positive and finite", lambda tmp: _sandwich(T_K=0.0)),
+    (ValueError, "T_K must be positive and finite", lambda tmp: _sandwich(T_K=-1.0)),
+    (ValueError, "T must be positive and finite", lambda tmp: _sandwich(T=math.nan)),
     (ValueError, "quadrature step must lie", lambda tmp: _project(-0.1)),
     (ValueError, "quadrature step must lie", lambda tmp: _project(math.nan)),
     (ValueError, "quadrature step must lie", lambda tmp: _project(100.0)),
@@ -221,14 +228,99 @@ def _periodize_at(q):
     (ValueError, "R_threshold must be positive", lambda tmp: ql.alignment_report(_h3(), math.nan)),
     (ValueError, "R_threshold must be positive", lambda tmp: ql.alignment_report(_h3(), -1.0)),
     (ValueError, "must be finite", lambda tmp: _periodize_at((math.nan, 0.0))),
+    (ValueError, "support radius must be finite", lambda tmp: sp.SampledFunction([[1.0, 0.0]], [1.0], math.nan)),
+    (ValueError, "support radius must be finite", lambda tmp: sp.SampledFunction([[1.0, 0.0]], [1.0], -5.0)),
+    (ValueError, "support radius must be finite", lambda tmp: sp.SampledFunction([[1.0, 0.0]], [1.0], math.inf)),
 ], ids=["palm-T", "palm-S", "autocorrelation-T", "autocorrelation-range", "twisted-density",
         "twisted-density-schedule", "diffraction-atom", "cli-S-nan", "cli-S-inf", "cli-S-negative",
         "sandwich-negative-h", "sandwich-zero-h", "sandwich-nan-h", "sandwich-coarse-h", "sandwich-zero-T_K",
         "sandwich-negative-T_K", "sandwich-nan-T", "projection-negative-h", "projection-nan-h",
         "projection-coarse-h", "projection-nan-T", "alignment-nan-R", "alignment-negative-R",
-        "periodization-nan-q"])
+        "periodization-nan-q", "support-nan", "support-negative", "support-inf"])
 def test_nan_radii_are_refused(tmp_path, capsys, expected, match, call):
     # Every comparison with NaN is false, so each check must be one NaN fails.
     with pytest.raises(expected, match=match):
         call(tmp_path)
     assert not (tmp_path / "s.csv").exists()
+
+
+
+def _refusal_peak(exc_type, call, *args):
+    tracemalloc.start()
+    try:
+        with pytest.raises(exc_type) as exc:
+            call(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    return exc.value
+
+
+@pytest.fixture(scope="module")
+def inputs():
+    return {"flat": ql.integer_lattice_patch(A1, 10.0), "fibered": ql.integer_lattice_patch(H3, 4.0, 2.0),
+            "eta": _central_measure(), "h3": _h3()}
+
+
+# Each case averages over a ball of radius r, given the inputs above.
+RADII = {
+    "palm_profile-T": lambda x, r: sp.palm_profile(x["flat"], [[0.25]], 0.0, r),
+    "palm_profile-S": lambda x, r: sp.palm_profile(x["fibered"], [[0.25]], r, 2.0),
+    "palm_coefficient-T": lambda x, r: sp.palm_coefficient(x["flat"], sp.character(0.25), 0.0, r),
+    # A grid of 5M frequencies: the scan must refuse before building it.
+    "bragg_scan-T": lambda x, r: df.bragg_scan(x["flat"], 0.5, 0.5, 2e-7, 0.0, r),
+    "bragg_scan-S": lambda x, r: df.bragg_scan(x["fibered"], 0.5, 0.5, 2e-7, r, 2.0),
+    "twisted_density-T": lambda x, r: sp.twisted_density([[1.0], [2.0]], sp.character(0.5), [r], 3.0),
+    "default_schedule-T_max": lambda x, r: sp.default_schedule(r),
+    "autocorrelation-T": lambda x, r: df.autocorrelation(x["flat"], r, 2.0),
+    "autocorrelation-range": lambda x, r: df.autocorrelation(x["flat"], 2.0, r),
+    "diffraction_atom-T": lambda x, r: df.diffraction_atom(x["eta"], sp.character(0.5), r),
+    "sandwich_check-T": lambda x, r: sp.sandwich_check(x["flat"], r, T_K=1.0, h=1e-2),
+    "sandwich_check-T_K": lambda x, r: sp.sandwich_check(x["flat"], 5.0, T_K=r, h=1e-2),
+    "alignment_report-R_threshold": lambda x, r: ql.alignment_report(x["h3"], r),
+}
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("site", sorted(RADII))
+def test_every_averaging_radius_is_positive_and_finite(inputs, site, r):
+    err = _refusal_peak(errors.DegenerateBallError, RADII[site], inputs, r)
+    assert isinstance(err, ValueError) and isinstance(err, QuasilatError)
+    assert "must be positive and finite" in str(err)
+
+
+def _split_short_of(pad):
+    patch = ql.integer_lattice_patch(H3, 10.0, 2.0, core_q=1.5 - pad)
+    return sp.split_data(patch, sp.character(0.3), 5.0)
+
+
+# Each case is (input whose core falls short of the reach by pad, call reaching
+# that far).  On H3 (drift bound 1), T = range = 1 reach 2 in q and 1 + 1 + 1 = 3 in z.
+CORES = {
+    "palm_profile-S": (lambda pad: ql.integer_lattice_patch(H3, 4.0, 2.0, core_q=1.5 - pad),
+                       lambda P: sp.palm_profile(P, [[0.25]], 1.5, 2.0)),
+    "palm_profile-T": (lambda pad: ql.integer_lattice_patch(A1, 10.0, core_z=5.0 - pad),
+                       lambda Z: sp.palm_profile(Z, [[0.25]], 0.0, 5.0)),
+    "twisted_density": (lambda pad: 3.0 - pad,
+                        lambda core: sp.twisted_density([[1.0], [2.0]], sp.character(0.5), [3.0], core)),
+    "autocorrelation-flat": (lambda pad: ql.integer_lattice_patch(A1, 10.0, core_z=4.0 - pad),
+                             lambda Z: df.autocorrelation(Z, 2.0, 2.0)),
+    "autocorrelation-mixed-q": (lambda pad: ql.integer_lattice_patch(H3, 6.0, 3.0, core_q=2.0 - pad),
+                                lambda P: df.autocorrelation(P, 1.0, 1.0)),
+    "autocorrelation-mixed-z": (lambda pad: ql.integer_lattice_patch(H3, 6.0, 3.0, core_z=3.0 - pad),
+                                lambda P: df.autocorrelation(P, 1.0, 1.0)),
+    "sandwich_check": (lambda pad: ql.integer_lattice_patch(A1, 10.0, core_z=7.0 - pad),
+                       lambda Z: sp.sandwich_check(Z, 5.0, T_K=1.0, h=1e-2)),
+    "twisted_periodization": (_split_short_of, lambda split: sp.twisted_periodization(
+        split, sp.SampledFunction.indicator([0.0, 0.0]), sp.character(0.3), ql.GroupElement(z=(0.0,), q=(1.5, 0.0)))),
+}
+
+
+@pytest.mark.parametrize("site", sorted(CORES))
+def test_every_reach_past_a_core_is_a_window_shortfall(site):
+    assert H3.cocycle.drift_bound == 1.0
+    build, call = CORES[site]
+    err = _refusal_peak(errors.WindowShortfallError, call, build(2 * errors.CORE_PAD))
+    assert isinstance(err, errors.InsufficientWindowError) and "beyond the trusted core" in str(err)
+    call(build(errors.CORE_PAD / 2))

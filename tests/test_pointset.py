@@ -18,7 +18,7 @@ from quasilat.errors import (
     RadicandMismatchError,
     SizeLimitError,
 )
-from quasilat.pointset import _PAIR_CHUNK, _beta_rows, group_rows
+from quasilat.pointset import _PAIR_CHUNK, group_rows
 
 S2 = math.sqrt(2.0)
 
@@ -189,22 +189,44 @@ def test_box_clipped_minkowski_equals_restrict_after_product(product_cases, case
     assert_same_patch(ql.minkowski(p1, p2, z_box, q_box), full.restrict(z_box, q_box))
 
 
-@pytest.mark.parametrize("dim_z, dim_q", [(1, 2), (2, 3), (3, 4)])
-def test_cocycle_rows_match_all_pairs_bit_for_bit(dim_z, dim_q):
-    # Products of gathered row pairs must carry the bits of the all-pairs
-    # form, signed zeros included, at every size minkowski gathers.
+def _rows_last_beta(cocycle, v, w):
+    # The rows-last einsum Cocycle.beta used before it went coordinates first.
+    return np.einsum("kij,...i,...j->...k", cocycle.stack, v, w)
+
+
+@pytest.mark.parametrize("dim_z, dim_q, kind", [
+    pytest.param(1, 2, "real", id="1-2"), pytest.param(2, 3, "real", id="2-3"),
+    pytest.param(3, 4, "real", id="3-4"), (1, 3, "integral"), (1, 2, "heisenberg"),
+])
+def test_cocycle_rows_match_all_pairs_bit_for_bit(dim_z, dim_q, kind):
+    # Cocycle.beta must give the bits of the rows-last einsum, signed zeros
+    # included, in every shape the library calls it with: one pair, gathered
+    # rows at every size minkowski gathers, all pairs, and (n, dim_q) rows
+    # against (b, n, dim_q) blocks as in the nearest-point search.
     rng = np.random.default_rng(7 + dim_q)
-    mats = rng.normal(size=(dim_z, dim_q, dim_q))
+    if kind == "integral":
+        mats = rng.integers(-3, 4, size=(dim_z, dim_q, dim_q))
+    else:
+        mats = rng.normal(size=(dim_z, dim_q, dim_q))
     beta = ql.Cocycle.from_matrices(mats - mats.transpose(0, 2, 1), dim_q=dim_q)
+    if kind == "heisenberg":
+        beta = ql.heisenberg_group().cocycle
     U = rng.normal(size=(300, dim_q)) * 1e3
     V = rng.normal(size=(230, dim_q))
     U[::4] = -0.0
     V[::3, 0] = 0.0
-    pairs = beta.beta(U[:, None, :], V[None, :, :]).reshape(-1, dim_z)
+    V[1::5] = -0.0
+    pairs = _rows_last_beta(beta, U[:, None, :], V[None, :, :])
+    assert beta.beta(U[:, None, :], V[None, :, :]).tobytes() == pairs.tobytes()
+    pairs = pairs.reshape(-1, dim_z)
     for n in (0, 1, 2, 600, _PAIR_CHUNK - 1, _PAIR_CHUNK, U.shape[0] * V.shape[0]):
         flat = rng.permutation(len(pairs))[:n]
         i, j = np.divmod(flat, V.shape[0])
-        assert _beta_rows(beta, U[i], V[j]).tobytes() == pairs[flat].tobytes()
+        assert beta.beta(U[i], V[j]).tobytes() == pairs[flat].tobytes()
+    for i, j in ((0, 0), (1, 3), (8, 1)):
+        assert beta.beta(U[i], V[j]).tobytes() == _rows_last_beta(beta, U[i], V[j]).tobytes()
+    block = U[:200].reshape(4, 50, dim_q)
+    assert beta.beta(V[:50], block).tobytes() == _rows_last_beta(beta, V[:50], block).tobytes()
 
 
 def test_minkowski_h3_matches_group_law():

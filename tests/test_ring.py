@@ -52,7 +52,6 @@ def test_embeddings_match_floats(a, b):
     x = QuadInt(a, b, 2)
     assert x.embed() == pytest.approx(a + b * math.sqrt(2), abs=1e-9)
     assert x.embed_star() == pytest.approx(a - b * math.sqrt(2), abs=1e-9)
-    assert x.key() == (a, b)
 
 
 def test_radicand_mismatch_rejected():

@@ -80,10 +80,21 @@ def test_cauchy_tail_is_last_quartile_spread():
 
 
 def test_default_schedule_shape():
-    sched = sp.default_schedule(100.0, ratio=2.0, T_min=1.0)
+    sched = sp.default_schedule(100.0, ratio=2.0)
     assert sched[-1] == 100.0
     assert 1.0 <= sched[0] < 2.0
     assert all(b == pytest.approx(2.0 * a) for a, b in zip(sched, sched[1:]))
+
+
+def test_default_schedule_lengths():
+    assert sp.default_schedule(0.5) == (0.5,)
+    assert len(sp.default_schedule(1e5)) == 44
+
+
+@pytest.mark.parametrize("ratio", [1.0, 0.5, math.nan, math.inf])
+def test_default_schedule_refuses_a_ratio_outside_one_to_infinity(ratio):
+    with pytest.raises(ValueError, match="ratio must exceed 1 and be finite"):
+        sp.default_schedule(10.0, ratio=ratio)
 
 
 def test_fiber_partition_reconstructs_fibers(split_patch):
