@@ -21,7 +21,8 @@ from .errors import CORE_PAD, DegenerateDensityError, InsufficientWindowError, c
 from .group import ball_volume, gauge_ball_volume
 from .pointset import (
     BALL_PAD, QUANT, SEARCH_PAD, ExactCoords, PointPatch, group_rows,
-    _as_block, _expand_ranges, _fiber_index, _interleave, _mixed_radix, _pair_pieces, _quant_keys, _trapezoid,
+    _SEARCH_BLOCK, _as_block, _expand_ranges, _fiber_index, _interleave, _mixed_radix, _pair_pieces, _quant_keys,
+    _trapezoid,
 )
 from .spectral import (
     Character,
@@ -75,6 +76,7 @@ class WeightedPointMeasure:
         return float(self.weights[idx].sum()) if len(idx) else 0.0
 
 
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd, so multiplying by it permutes uint64
 _DENSE_SPAN = 4  # count packed keys in a table when their span is at most this many times the rows
 
 
@@ -93,12 +95,14 @@ def _aggregate_keys(
         counts = np.ones(len(keys), dtype=np.int64) if counts is None else counts
         return keys[order[starts]], np.add.reduceat(counts[order], starts)
     packed, lo, spans = radix
-    span = math.prod(spans)
+    # The table spans the keys present, which a piece of pairs keeps narrow.
+    first, span = (int(packed.min()), int(np.ptp(packed)) + 1) if len(packed) else (0, 0)
     if span <= _DENSE_SPAN * len(packed):
         # Every count is positive, so the keys present are the nonzero bins.
-        summed = np.bincount(packed, counts, span)
+        summed = np.bincount(packed - first, counts, span)
         packed = np.flatnonzero(summed)
         summed = summed[packed]
+        packed += first
     elif counts is None:
         # np.unique needs no stable order, so it sorts the packed keys faster still.
         packed, summed = np.unique(packed, return_counts=True)
@@ -117,39 +121,55 @@ def _norm(cols: Sequence[np.ndarray]) -> np.ndarray:
     return np.abs(cols[0]) if len(cols) == 1 else np.sqrt(sum(c * c for c in cols))
 
 
-def _pair_radix(zk: np.ndarray, shifts: Sequence[np.ndarray]):
-    """One int64 key per pair for the (neighbour slot, dz) columns of the
-    exact pairs, dz = zk[y] - zk[x] - shift[slot], as pt[y] + base[slot] -
-    pt[x] with the base of each x-fiber's shifts.  Returns (pt, bases, lows,
-    spans), or None when the spans, bounded from the extents of zk and of
-    the shifts, multiply past 2**62."""
-    sh = np.concatenate(shifts)
-    z_lo, z_hi, s_lo, s_hi = (v.tolist() for v in (zk.min(0), zk.max(0), sh.min(0), sh.max(0)))
-    spans = [max(map(len, shifts))] + [2 * (b - a) + d - c + 1 for a, b, c, d in zip(z_lo, z_hi, s_lo, s_hi)]
+def _pair_radix(zk: np.ndarray, shifts: np.ndarray):
+    """One int64 key per pair for the (slot, dz) columns of the exact
+    pairs, dz = zk[y] - zk[x] - shifts[slot], as pt[y] + bases[slot] -
+    pt[x].  Returns (pt, bases, lows, spans), or None when the spans,
+    bounded from the extents of zk and of the shifts, multiply past 2**62."""
+    z_lo, z_hi, s_lo, s_hi = (v.tolist() for v in (zk.min(0), zk.max(0), shifts.min(0), shifts.max(0)))
+    spans = [len(shifts)] + [2 * (b - a) + d - c + 1 for a, b, c, d in zip(z_lo, z_hi, s_lo, s_hi)]
     if math.prod(spans) > 2**62:
         return None
     strides = np.cumprod(np.array([1] + spans[:0:-1], dtype=np.int64))[::-1]
     # Each digit sum stays inside its span, so no int64 intermediate wraps.
     top = np.array(z_hi, dtype=np.int64) - z_lo
-    bases = [np.arange(len(s)) * strides[0] + (top + (s_hi - s)) @ strides[1:] for s in shifts]
+    bases = np.arange(len(shifts)) * strides[0] + (top + (s_hi - shifts)) @ strides[1:]
     return (zk - z_lo) @ strides[1:], bases, [0] + [a - b - d for a, b, d in zip(z_lo, z_hi, s_hi)], spans
+
+
+def _run_classes(starts: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Class id per run of the integer rows, run r being rows[starts[r]:
+    starts[r + 1]]: the first run of equal hash when the two hold equal
+    rows in the same order, else r.  So runs share an id only when equal."""
+    runs = np.arange(len(starts))
+    sizes = np.diff(np.append(starts, len(rows)))
+    # An odd multiplier per column and a xorshift-multiply mix, wrapping in uint64.
+    h = rows.view(np.uint64) @ (np.arange(1, 2 * rows.shape[1], 2, dtype=np.uint64) * _MIX)
+    _, first, inverse = np.unique(np.bitwise_xor.reduceat((h ^ (h >> np.uint64(31))) * _MIX, starts),
+                                  return_index=True, return_inverse=True)
+    lead = first[inverse]
+    same = sizes == sizes[lead]
+    cand = np.flatnonzero(same & (lead != runs))
+    run, pos = _expand_ranges(starts[cand], starts[cand] + sizes[cand])
+    same[cand[run[np.any(rows[pos] != rows[pos + (starts[lead] - starts)[cand][run]], axis=1)]]] = False
+    return np.where(same, lead, runs)
 
 
 def _window_autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedPointMeasure:
     """Autocorrelation of a flat or mixed patch, any central dimension.
 
     Rows are grouped into fibers by q-key and sorted by z_0 inside each;
-    a flat patch is one fiber.  Each x-fiber i pairs with every fiber j
-    whose delta lies within range, through one sorted-window search on
-    the first central coordinate around z_x + beta(delta_i, delta_j) over
-    all of them at once.  z_0 ascends in a fiber and (v - a) - b is
-    monotone in v, so the pairs with |dz_0| within range form one run of
-    each window: the window is trimmed to it, and only dim_z >= 2 filters
-    pairs, by the norm of the whole z block (|dz_0| <= |dz|).  Exact keys
-    are packed once per point and once per query, so a pair's key is one
-    sum (key columns remain for float keys and spans past 2**62).  Pairs
-    are counted by (neighbour, z-key), a piece of about _PAIR_CHUNK pairs
-    at a time, before the q-keys are attached, so memory stays per piece.
+    a flat patch is one fiber.  The pairs of an x-fiber i (its rows in
+    the ball) with a fiber j within range depend only on the x-class of
+    i, the y-class of j (equal z bits and exact keys, row by row) and the
+    shift beta(delta_i, delta_j), as float bits and exact value.  So one
+    representative per (x-class, y-class, shift) forms its pairs, by one
+    sorted-window search on z_0 over all of them, each window trimmed to
+    the run with |dz_0| within range (dim_z >= 2 then filters by the norm
+    of the whole z block).  They are counted by (representative, z-key),
+    a piece of about _PAIR_CHUNK pairs at a time, with exact keys packed
+    into one int64 unless their spans pass 2**62.  Every (i, j) then
+    takes its representative's counts under its own q-key.
     """
     g = P.group
     n, dim_z = P.n, P.dim_z
@@ -157,41 +177,54 @@ def _window_autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedP
     # The gauge is |z| on a flat patch and max(|q|, sqrt|z|) on a mixed one.
     t_z, w = (T, range_) if P.dim_q == 0 else (T * T, range_ * range_)
     order, starts, window_edge = _fiber_index(P.q_key_matrix, P.z[:, 0])
-    bounds = np.append(starts, n)
     zs = [P.z[order, k] for k in range(dim_z)]
-    x_norms = _norm(zs)
     heads = order[starts]
     deltas = P.q[heads]
-    plan = []  # (x-fiber, its rows in the ball, the fibers within range of it)
-    for fi in np.flatnonzero(np.sqrt(np.sum(deltas * deltas, axis=1)) <= T + BALL_PAD):
-        xs = np.arange(bounds[fi], bounds[fi + 1])
-        dq = deltas - deltas[fi]
-        nb = np.flatnonzero(np.sqrt(np.sum(dq * dq, axis=1)) <= range_ + BALL_PAD)
-        plan.append((fi, xs[x_norms[xs] <= t_z + BALL_PAD], nb))
+    # The x rows, fiber by fiber: the rows in the ball of the fibers over it.
+    in_ball = np.repeat(np.sqrt(np.sum(deltas * deltas, axis=1)) <= T + BALL_PAD, np.diff(np.append(starts, n)))
+    in_ball &= _norm(zs) <= t_z + BALL_PAD
+    xs = np.flatnonzero(in_ball)
+    x_sizes = np.add.reduceat(in_ball.astype(np.int64), starts)
+    x_first = np.cumsum(x_sizes) - x_sizes
+    fx = np.flatnonzero(x_sizes)
+    x_class, y_class = np.zeros(len(starts), dtype=np.int64), np.zeros(len(starts), dtype=np.int64)
     exact_mode = P.exact is not None and g.cocycle.is_integral
-    radix = None
     if exact_mode:
         # One (a, b) pair per z coordinate, in the ExactCoords.key_matrix layout.
         zk = _interleave(P.exact.za, P.exact.zb)[order]
         qa, qb = P.exact.qa[heads], P.exact.qb[heads]
-        shifts = [_interleave(*g.cocycle.beta_exact(qa[fi], qb[fi], qa[nb], qb[nb], P.exact.d)) for fi, _, nb in plan]
-        head_keys = P.q_key_matrix[heads]
-        radix = _pair_radix(zk, shifts) if plan else None
-    if radix is not None:
-        pt, bases, lows, spans = radix
+    if len(starts) > 1:  # a flat patch is one class
+        z_rows = np.hstack([P.z[order].view(np.int64)] + ([zk] if exact_mode else []))
+        x_class[fx], y_class = _run_classes(x_first[fx], z_rows[xs]), _run_classes(starts, z_rows)
     width = 2 * (dim_z + P.dim_q) if exact_mode else dim_z + P.dim_q
-    all_keys = [np.zeros((0, width), dtype=np.int64)]
-    all_counts = [np.zeros(0, dtype=np.int64)]
-    for f, (fi, xs, nb) in enumerate(plan):
-        # One query per (neighbour fiber, x point): the neighbour's slot in
-        # nb and the x row src in zs.  Neighbour-major, so a piece of pairs
-        # spans few neighbours and pieces share few (neighbour, z) keys.
-        slot = np.repeat(np.arange(len(nb)), len(xs))
-        src = np.tile(xs, len(nb))
-        c = g.cocycle.beta(deltas[fi], deltas[nb])[slot]
+    all_keys, all_counts = [np.zeros((0, width), dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    # Blocks of x-fibers, so no array reaches (x-fibers) * (fibers) at once.
+    block = max(1, _SEARCH_BLOCK // len(starts))
+    for i0 in range(0, len(fx), block):
+        # Every (x-fiber, neighbour) combination (fi, cj) of the block.
+        dq = deltas[None, :] - deltas[fx[i0 : i0 + block], None]
+        fi, cj = np.nonzero(np.sqrt(np.sum(dq * dq, axis=2)) <= range_ + BALL_PAD)
+        fi = fx[i0 + fi]
+        beta = np.ascontiguousarray(g.cocycle.beta(deltas[fi], deltas[cj]))
+        if exact_mode:
+            shift = _interleave(*g.cocycle.beta_exact(qa[fi], qb[fi], qa[cj], qb[cj], P.exact.d))
+            q_keys = P.q_key_matrix[heads[cj]] - P.q_key_matrix[heads[fi]]
+        else:
+            shift, q_keys = np.zeros((len(fi), 0), dtype=np.int64), _quant_keys(deltas[cj] - deltas[fi])
+        # Combinations sorted by key (combo_order); the first of each run is the representative.
+        combo_order, firsts = group_rows(np.column_stack([x_class[fi], y_class[cj], *beta.view(np.int64).T, *shift.T]))
+        rep = combo_order[firsts]
+        rep_x, rep_y, beta, shift = fi[rep], cj[rep], beta[rep], shift[rep]
+        radix = _pair_radix(zk, shift) if exact_mode else None
+        if radix is not None:
+            pt, bases, lows, spans = radix
+        # One query per (representative, x row): its slot in rep and the x row src in zs.
+        slot, xi = _expand_ranges(x_first[rep_x], x_first[rep_x] + x_sizes[rep_x])
+        src = xs[xi]
+        c = beta[slot]
         z0 = zs[0][src] + c[:, 0]
-        lo = window_edge(nb[slot], z0 - w - SEARCH_PAD, "left")
-        hi = window_edge(nb[slot], z0 + w + SEARCH_PAD, "right")
+        lo = window_edge(rep_y[slot], z0 - w - SEARCH_PAD, "left")
+        hi = window_edge(rep_y[slot], z0 + w + SEARCH_PAD, "right")
         # Step both ends of every window inwards past the pairs whose dz_0,
         # formed as below, is out of range: only points in the pad band.
         for end, off, step in ((lo, 0, 1), (hi, -1, -1)):
@@ -201,10 +234,10 @@ def _window_autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedP
                 end[act] += step
                 act = act[lo[act] < hi[act]]
         if radix is not None:
-            qo = bases[f][slot] - pt[src]
+            qo = bases[slot] - pt[src]
         elif exact_mode:
-            x_exact = zk[src] + shifts[f][slot]
-        q_keys = head_keys[nb] - head_keys[fi] if exact_mode else _quant_keys(deltas[nb] - deltas[fi])
+            x_exact = zk[src] + shift[slot]
+        hist, hist_counts = [], []
         for s, e in _pair_pieces(hi - lo):
             rows, cols = _expand_ranges(lo[s:e], hi[s:e])
             rows += s
@@ -219,8 +252,20 @@ def _window_autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedP
                 uniq, cnt = _aggregate_keys([slot[rows], *(zk[cols] - x_exact[rows]).T])
             else:
                 uniq, cnt = _aggregate_keys([slot[rows], *map(_quant_keys, dz)])
-            all_keys.append(np.column_stack([uniq[:, 1:], q_keys[uniq[:, 0]]]))
-            all_counts.append(cnt)
+            hist.append(uniq)
+            hist_counts.append(cnt)
+        if not hist:
+            continue
+        # Queries, and so pieces, run slot by slot: each slot's (slot, z-key)
+        # counts are one run of hist, which every combination of its key takes.
+        hist, hist_counts = np.concatenate(hist), np.concatenate(hist_counts)
+        bounds = np.searchsorted(hist[:, 0], np.arange(len(rep) + 1))
+        combo_slot = np.repeat(np.arange(len(rep)), np.diff(np.append(firsts, len(fi))))
+        combo, h = _expand_ranges(bounds[combo_slot], bounds[combo_slot + 1])
+        combo = combo_order[combo]
+        uniq, cnt = _aggregate_keys([*(k[h] for k in hist[:, 1:].T), *(k[combo] for k in q_keys.T)], hist_counts[h])
+        all_keys.append(uniq)
+        all_counts.append(cnt)
     keys, counts = _aggregate_keys(list(np.concatenate(all_keys).T), np.concatenate(all_counts))
     if exact_mode:
         m = 2 * dim_z

@@ -145,10 +145,10 @@ def _twisted_densities(
     the phases are summed along the sorted rows and cut at the schedule."""
     z = _as_rows(fiber)
     schedule = [float(t) for t in T_schedule]
+    for t in schedule:  # every entry is a radius, before the ordering test
+        check_radius("T", t)
     if not schedule or not all(b > a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("T_schedule must be nonempty and strictly increasing")
-    check_radius("T", schedule[0])
-    check_radius("T", schedule[-1])
     norms = np.sqrt(np.sum(z * z, axis=1))
     if core is None:
         core = float(norms.max()) if len(norms) else 0.0

@@ -370,9 +370,18 @@ def _big_coefficient_silver_square():
     return ql.cartesian_flat(S, S)
 
 
+def _h3_core_thinned():
+    """_h3_core(3.5, 4.25) less about 1% of its rows: most fibers keep the
+    class they share, and the ones that lost a row fall out of it."""
+    P = _h3_core(3.5, 4.25)
+    return P.take(np.flatnonzero(np.random.default_rng(22).random(P.n) >= 0.01))
+
+
 KERNEL_CASES = {
     "h3_core_3_4": lambda: (_h3_core(3.0, 4.0), 3.0, 4.0),
     "h3_core_3.5_4.25": lambda: (_h3_core(3.5, 4.25), 3.5, 4.25),
+    "h3_core_thinned": lambda: (_h3_core_thinned(), 3.5, 4.25),
+    "h3_core_thinned_float": lambda: (_float_keyed(_h3_core_thinned()), 3.5, 4.25),
     "h3_core_4_4.5": lambda: (_h3_core(4.0, 4.5), 4.0, 4.5),
     "h3_float_keys": lambda: (_float_keyed(_h3_core(2.0, 2.5)), 2.0, 2.5),
     "h3_float_square": lambda: (_float_key_h3_square(), 0.12, 0.17),
@@ -403,16 +412,41 @@ def test_kernel_equals_the_per_pair_filter(case):
     assert [r is not None for r in radices] == ([case != "packed_span_past_2_62"] if exact_mode else [])
 
 
+@pytest.mark.parametrize("case", ["h3_core_thinned", "h3_core_thinned_float", "h3_float_square", "abelian_2_1"])
+def test_blocks_of_x_fibers_count_the_same_atoms(case):
+    # One x-fiber per block: classes are shared across blocks, representatives are not.
+    P, T, range_ = KERNEL_CASES[case]()
+    whole = df.autocorrelation(P, T, range_)
+    with patch.object(df, "_SEARCH_BLOCK", 1):
+        blocked = df.autocorrelation(P, T, range_)
+    assert _atom_bytes(blocked) == _atom_bytes(whole)
+
+
+@pytest.mark.parametrize("case", ["h3_core_thinned", "h3_core_thinned_float"])
+def test_fiber_classes_are_checked_row_by_row(case):
+    # With every run hash equal, only the row-by-row check keeps unequal fibers apart.
+    P, T, range_ = KERNEL_CASES[case]()
+    with patch.object(df, "_MIX", np.uint64(0)):
+        eta = df.autocorrelation(P, T, range_)
+    assert _atom_bytes(eta) == _atom_bytes(_reference_autocorrelation(P, T, range_))
+
+
 @pytest.mark.parametrize("case", ["h3_core_3.5_4.25", "h3_float_keys", "silver", "silver_float", "silver_product",
                                   "far_boundary", "pad_band"])
 def test_one_central_dimension_forms_only_the_pairs_it_counts(case):
+    # The window search forms the pairs of one (x-class, y-class, shift)
+    # representative each, and every combination sharing it counts them.
     P, T, range_ = KERNEL_CASES[case]()
     formed = []
-    expand = df._expand_ranges
-    with patch.object(df, "_expand_ranges", lambda lo, hi: formed.append(int((hi - lo).sum())) or expand(lo, hi)):
+    pieces = df._pair_pieces
+    with patch.object(df, "_pair_pieces", lambda counts: formed.append(int(counts.sum())) or pieces(counts)):
         eta = df.autocorrelation(P, T, range_)
-    counted = np.rint(eta.weights * eta.normalization).astype(np.int64)
-    assert sum(formed) == int(counted.sum()) > 0
+    counted = int(np.rint(eta.weights * eta.normalization).astype(np.int64).sum())
+    assert 0 < sum(formed) <= counted
+    if case in ("silver", "silver_float"):  # one fiber, one representative
+        assert sum(formed) == counted
+    if case == "h3_core_3.5_4.25":  # every fiber shares one class
+        assert sum(formed) <= 0.05 * counted
 
 
 def _sign_rt2(a, b):

@@ -272,6 +272,9 @@ RADII = {
     "bragg_scan-T": lambda x, r: df.bragg_scan(x["flat"], 0.5, 0.5, 2e-7, 0.0, r),
     "bragg_scan-S": lambda x, r: df.bragg_scan(x["fibered"], 0.5, 0.5, 2e-7, r, 2.0),
     "twisted_density-T": lambda x, r: sp.twisted_density([[1.0], [2.0]], sp.character(0.5), [r], 3.0),
+    # every entry of a schedule is a radius, not only its first and last
+    "twisted_density-T_last": lambda x, r: sp.twisted_density([[1.0], [2.0]], sp.character(0.5), [1.0, r], 3.0),
+    "twisted_density-T_middle": lambda x, r: sp.twisted_density([[1.0], [2.0]], sp.character(0.5), [2.0, r, 2.5], 3.0),
     "default_schedule-T_max": lambda x, r: sp.default_schedule(r),
     "autocorrelation-T": lambda x, r: df.autocorrelation(x["flat"], r, 2.0),
     "autocorrelation-range": lambda x, r: df.autocorrelation(x["flat"], 2.0, r),
