@@ -33,7 +33,6 @@ from .pisot import (
     SpectrumClassification,
     classify_pisot_salem,
     classify_real,
-    min_poly_quadratic,
 )
 from .pointset import (
     QUANT,
@@ -146,15 +145,15 @@ def load_patch(path: str) -> PointPatch:
 
 
 def scheme_from_doc(doc: dict) -> CutProjectScheme:
-    window = [(float(lo), float(hi)) for lo, hi in doc["window"]]
-    if doc["kind"] == "silver":
-        (lo, hi), = window
-        return silver_scheme(lo, hi)
-    return matrix_scheme(
-        basis=doc["basis"],
-        physical_dim=int(doc["physical_dim"]),
-        window=window,
-    )
+    """The scheme a document describes; malformed documents raise ValueError."""
+    try:
+        window = [(float(lo), float(hi)) for lo, hi in doc["window"]]
+        if doc["kind"] == "silver":
+            (lo, hi), = window
+            return silver_scheme(lo, hi)
+        return matrix_scheme(basis=doc["basis"], physical_dim=int(doc["physical_dim"]), window=window)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed scheme file: {type(exc).__name__}: {exc}") from exc
 
 
 def classification_to_doc(cls: SpectrumClassification) -> dict:
@@ -434,8 +433,7 @@ def _cmd_pisot(args, parser) -> int:
             a, b, d = parts
         else:
             parser.error("argument --quadint: expected a,b or a,b,d")
-        x = QuadInt(a, b, d)
-        cls = classify_pisot_salem(min_poly_quadratic(x), x.embed())
+        cls = classify_real(QuadInt(a, b, d))
     else:
         cls = classify_real(args.value)
     doc = classification_to_doc(cls)

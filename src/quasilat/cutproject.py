@@ -25,7 +25,6 @@ from .errors import (
 from .group import CentralExtensionGroup, Cocycle
 from .pointset import (
     BALL_PAD,
-    BOUNDARY_PAD,
     QUANT,
     ExactCoords,
     PointPatch,
@@ -350,7 +349,7 @@ def _aligned_fibers(
     z_radius = P.core_z if z_radius is None else float(z_radius)
     if not z_radius >= 0:
         raise ValueError("probe radii must be non-negative")
-    if z_radius > P.core_z + BOUNDARY_PAD:
+    if z_radius > P.core_z + BALL_PAD:
         raise BoundaryUnsoundError("z probe box exceeds the trusted z-core")
     if z_radius < R_threshold:
         raise InsufficientWindowError(

@@ -9,7 +9,7 @@ of patches, and factors block-triangular tower spectra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -71,7 +71,7 @@ def min_poly_quadratic(x: QuadInt) -> IntPolynomial:
     """X^2 - 2aX + (a^2 - d b^2) for a + b*sqrt(d); X - a when b = 0."""
     if x.b == 0:
         return IntPolynomial((1, -x.a))
-    return IntPolynomial((1, -2 * x.a, x.a * x.a - x.d * x.b * x.b))
+    return IntPolynomial((1, -2 * x.a, x.norm))
 
 
 @dataclass(frozen=True)
@@ -84,18 +84,16 @@ class SpectrumClassification:
     warnings: tuple[str, ...] = ()
 
 
-def classify_pisot_salem(
-    p: IntPolynomial,
-    t_hint: float,
-    tol: float = ROOT_TOL,
-) -> SpectrumClassification:
+def classify_pisot_salem(p: IntPolynomial, t_hint: float) -> SpectrumClassification:
     """Classify the designated root of a monic integer polynomial.
 
-    Pisot: every other root has modulus < 1 - tol.  Salem: all other
-    moduli <= 1 + tol with at least one inside [1 - tol, 1 + tol];
-    roots caught in the band produce a warning since the exact
-    trichotomy cannot be read off a float.
+    Pisot: every other root has modulus < 1 - ROOT_TOL.  Salem: all
+    other moduli <= 1 + ROOT_TOL with at least one inside
+    [1 - ROOT_TOL, 1 + ROOT_TOL]; roots caught in the band produce a
+    warning since the exact trichotomy cannot be read off a float.
     """
+    if not math.isfinite(t_hint):
+        raise ValueError(f"t_hint must be finite, got t_hint={t_hint:.6g}")
     roots = p.roots()
     scale = max(1.0, abs(t_hint))
     dist = np.abs(roots - complex(t_hint))
@@ -108,22 +106,22 @@ def classify_pisot_salem(
             f"(nearest root off by {dist[j]:.3g})"
         )
     designated = complex(roots[j])
-    if abs(designated) <= 1 + tol and abs(t_hint) <= 1 + tol:
+    if abs(designated) <= 1 + ROOT_TOL and abs(t_hint) <= 1 + ROOT_TOL:
         raise ValueError("designated root must exceed 1 in modulus")
     others = np.delete(roots, j)
     moduli = tuple(float(m) for m in sorted(np.abs(others)))
+    band = [m for m in moduli if 1 - ROOT_TOL <= m <= 1 + ROOT_TOL]
     warnings: list[str] = []
-    if dist[j] > max(tol, tol * scale):
+    if dist[j] > ROOT_TOL * scale:
         warnings.append(
             f"hint matched the designated root only to {dist[j]:.2e}"
         )
-    if all(m < 1 - tol for m in moduli):
+    if all(m < 1 - ROOT_TOL for m in moduli):
         kind = "Pisot"
-    elif all(m <= 1 + tol for m in moduli) and any(1 - tol <= m <= 1 + tol for m in moduli):
+    elif band and all(m <= 1 + ROOT_TOL for m in moduli):
         kind = "Salem"
-        band = [m for m in moduli if 1 - tol <= m <= 1 + tol]
         warnings.append(
-            f"{len(band)} conjugate(s) within {tol:g} of the unit circle; "
+            f"{len(band)} conjugate(s) within {ROOT_TOL:g} of the unit circle; "
             "classified Salem on the numerical band"
         )
     else:
@@ -146,11 +144,7 @@ class RecognitionResult:
     note: str
 
 
-def recognize_algebraic_integer(
-    x: float,
-    max_denominator: int = 10**6,
-    tol: float = 1e-9,
-) -> RecognitionResult:
+def recognize_algebraic_integer(x: float) -> RecognitionResult:
     """Recognize a float as a rational or quadratic algebraic integer.
 
     Quadratic recognition scans integer traces p with |p - x| <= 1000
@@ -162,6 +156,8 @@ def recognize_algebraic_integer(
     and rejected: they are never algebraic integers.  Degree three and
     higher are not attempted.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got x={x:.6g}")
     xr = round(x)
     if abs(x - xr) <= 1e-8 * max(1.0, abs(x)):
         if abs(xr) <= 1:
@@ -175,7 +171,7 @@ def recognize_algebraic_integer(
         qv = p * x - x * x
         qr = round(qv)
         res = abs(qv - qr)
-        if res <= tol * scale and (best is None or res < best[0]):
+        if res <= 1e-9 * scale and (best is None or res < best[0]):
             best = (res, p, qr)
     if best is not None:
         res, p, q = best
@@ -186,7 +182,7 @@ def recognize_algebraic_integer(
             res,
             f"recognized quadratic {poly} from decimals (residual {res:.2e})",
         )
-    frac = Fraction(x).limit_denominator(max_denominator)
+    frac = Fraction(x).limit_denominator(10**6)
     if frac.denominator > 1 and abs(x - float(frac)) <= 1e-14 * max(1.0, abs(x)):
         return RecognitionResult(
             None,
@@ -203,13 +199,13 @@ def recognize_algebraic_integer(
     )
 
 
-def classify_real(t: Union[QuadInt, int, float], tol: float = ROOT_TOL) -> SpectrumClassification:
+def classify_real(t: Union[QuadInt, int, float]) -> SpectrumClassification:
     """Classify a dilation factor given exactly or as a decimal."""
     if isinstance(t, QuadInt):
-        return classify_pisot_salem(min_poly_quadratic(t), t.embed(), tol)
+        return classify_pisot_salem(min_poly_quadratic(t), t.embed())
     if isinstance(t, int):
-        return classify_pisot_salem(min_poly_quadratic(QuadInt(t, 0)), float(t), tol)
-    if abs(float(t)) <= 1 + tol:
+        return classify_pisot_salem(min_poly_quadratic(QuadInt(t, 0)), float(t))
+    if abs(float(t)) <= 1 + ROOT_TOL:
         raise ValueError("dilation factor must exceed 1 in modulus")
     rec = recognize_algebraic_integer(float(t))
     if rec.polynomial is None:
@@ -221,15 +217,8 @@ def classify_real(t: Union[QuadInt, int, float], tol: float = ROOT_TOL) -> Spect
             polynomial=None,
             warnings=(rec.note,),
         )
-    cls = classify_pisot_salem(rec.polynomial, float(t), tol)
-    return SpectrumClassification(
-        kind=cls.kind,
-        designated=cls.designated,
-        conjugates=cls.conjugates,
-        roots=cls.roots,
-        polynomial=cls.polynomial,
-        warnings=cls.warnings + (rec.note,),
-    )
+    cls = classify_pisot_salem(rec.polynomial, float(t))
+    return replace(cls, warnings=cls.warnings + (rec.note,))
 
 
 @dataclass(frozen=True)
@@ -319,14 +308,10 @@ class TowerReport:
     warnings: tuple[str, ...] = field(default=())
 
 
-def tower_spectrum_check(
-    blocks: Sequence[np.ndarray],
-    n_completions: int = 100,
-    seed: int = 0,
-) -> TowerReport:
+def tower_spectrum_check(blocks: Sequence[np.ndarray], seed: int = 0) -> TowerReport:
     """Char poly of a block-upper-triangular map factors over the blocks.
 
-    Verifies the factorization numerically against random integer
+    Verifies the factorization numerically against 100 random integer
     completions of the off-diagonal blocks, reports the union spectrum,
     the simple-spectrum margin, and a Pisot/Salem classification for
     each recognized eigenvalue of modulus above 1.
@@ -349,7 +334,7 @@ def tower_spectrum_check(
     rng = np.random.default_rng(seed)
     worst = 0.0
     offsets = np.cumsum([0] + sizes)
-    for _ in range(n_completions):
+    for _ in range(100):
         full = np.zeros((n, n))
         for i, b in enumerate(mats):
             s = offsets[i]

@@ -32,7 +32,6 @@ from .ring import COEFF_LIMIT, QuadInt, check_radicand
 QUANT = 1e-9  # float coordinates closer than this collapse to one key
 SEARCH_PAD = 1e-9  # widens a search window or a grid count so rounding drops no candidate
 BALL_PAD = 1e-12  # a row or pair at distance <= r + BALL_PAD lies in the closed ball or box
-BOUNDARY_PAD = 1e-12  # probe boxes beyond core + BOUNDARY_PAD raise BoundaryUnsoundError
 
 
 @dataclass(frozen=True)
@@ -753,7 +752,7 @@ def covering_radius(
     q_radius = p.core_q if q_radius is None else float(q_radius)
     if min(z_radius, q_radius) < 0:
         raise ValueError("probe radii must be non-negative")
-    if z_radius > p.core_z + BOUNDARY_PAD or q_radius > p.core_q + BOUNDARY_PAD:
+    if z_radius > p.core_z + BALL_PAD or q_radius > p.core_q + BALL_PAD:
         raise BoundaryUnsoundError(
             f"probe box ({z_radius:.6g}, {q_radius:.6g}) exceeds the trusted core "
             f"({p.core_z:.6g}, {p.core_q:.6g})"
@@ -813,6 +812,8 @@ def check_meyerian(p: PointPatch, k_max: int = 3, threshold: float = 1e-6) -> Me
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
+    if not 0 < threshold < math.inf:
+        raise ValueError(f"threshold must be positive and finite, got threshold={threshold:.6g}")
     if p.n < 2:
         raise InsufficientWindowError("need at least two points to form difference sets")
     diff = minkowski(inverse_set(p), p)
@@ -852,7 +853,6 @@ class CoverReport:
     translators: PointPatch
     size: int
     max_residual: float
-    cluster_radius: float
     n_covered: int
 
 
@@ -884,12 +884,12 @@ def _nearest_in_patch(
     return idx, dist
 
 
-def approximate_group_cover(p: PointPatch, cluster_radius: float = 1e-6) -> CoverReport:
+def approximate_group_cover(p: PointPatch) -> CoverReport:
     """Finite translator set F with p*p covered by p*F on the base core.
 
     Requires a symmetric patch containing the identity.  Each product
     point y gets quotient x^-1 y against its nearest patch point x; the
-    quotients are clustered at cluster_radius and the representatives
+    quotients are clustered at radius 1e-6 and the representatives
     form F.  The reported residual is the largest snap distance.
     """
     g = p.group
@@ -917,7 +917,7 @@ def approximate_group_cover(p: PointPatch, cluster_radius: float = 1e-6) -> Cove
         dq = rq[i] - rq[reps]
         dz = rz[i] - rz[reps] - g.cocycle.beta(rq[reps], dq)
         best = float(g.gauge_rows(dz, dq).min(initial=math.inf))
-        if best > cluster_radius:
+        if best > 1e-6:
             reps.append(i)
         else:
             max_residual = max(max_residual, best)
@@ -936,7 +936,6 @@ def approximate_group_cover(p: PointPatch, cluster_radius: float = 1e-6) -> Cove
         translators=translators,
         size=translators.n,
         max_residual=max_residual,
-        cluster_radius=cluster_radius,
         n_covered=prod.n,
     )
 

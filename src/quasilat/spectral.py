@@ -454,19 +454,12 @@ class SandwichReport:
     h: float
     lower_ok: bool
     upper_ok: bool
-    tolerance: float
 
 
-def sandwich_check(
-    Xi: PointPatch,
-    T: float,
-    T_K: float = 1.0,
-    h: float = 1e-3,
-    tolerance: float = 1e-3,
-) -> SandwichReport:
+def sandwich_check(Xi: PointPatch, T: float, T_K: float = 1.0, h: float = 1e-3) -> SandwichReport:
     """|Xi cap B_T|  <=  int_{B_{T+T_K}} sum_x rho(x - n) dn  <=  |Xi cap B_{T+2T_K}|
     for the unit-mass quartic bump rho supported in [-T_K, T_K],
-    evaluated by trapezoid quadrature at step h.
+    evaluated by trapezoid quadrature at step h; each side holds up to 1e-3.
     """
     if Xi.dim_q or Xi.dim_z != 1:
         raise ValueError("sandwich_check expects a one dimensional flat patch")
@@ -492,7 +485,6 @@ def sandwich_check(
         T=float(T),
         T_K=float(T_K),
         h=float(step),
-        lower_ok=bool(integral >= count_inner - tolerance),
-        upper_ok=bool(integral <= count_outer + tolerance),
-        tolerance=float(tolerance),
+        lower_ok=bool(integral >= count_inner - 1e-3),
+        upper_ok=bool(integral <= count_outer + 1e-3),
     )

@@ -244,7 +244,7 @@ def test_ac09_counting_sandwich():
     }
     for name, patch in (("Z", Zs), ("Theta1", T1s)):
         for T in (10.0, 20.0, 40.0):
-            rep = ql.sandwich_check(patch, T, T_K=1.0, h=1e-3, tolerance=1e-3)
+            rep = ql.sandwich_check(patch, T, T_K=1.0, h=1e-3)
             assert rep.lower_ok and rep.upper_ok, (name, T)
             inner, integral, outer = frozen[(name, T)]
             assert (rep.count_inner, rep.count_outer) == (inner, outer)

@@ -248,6 +248,33 @@ def test_pisot_argument_validation(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["pisot", "--poly", "1,-2,-1", "--hint", "nan"], "t_hint"),
+    (["pisot", "--poly", "1,-2,-1", "--hint", "inf"], "t_hint"),
+    (["pisot", "--value", "inf"], "x"),
+    (["pisot", "--value", "nan"], "x"),
+], ids=["hint-nan", "hint-inf", "value-inf", "value-nan"])
+def test_pisot_non_finite_inputs_exit_one(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {named} must be finite, got {named}={argv[-1]}\n"
+
+
+@pytest.mark.parametrize("doc, cause", [
+    ({"kind": "silver"}, "KeyError"),
+    ([1, 2], "TypeError"),
+    ({"kind": "silver", "window": [[-1.0]]}, "ValueError"),
+    ({"kind": "matrix", "window": [[-1.0, 1.0]], "basis": [[1.0, 1.0], [1.0, -1.0]]}, "KeyError"),
+], ids=["no-window", "list", "short-interval", "no-physical-dim"])
+def test_malformed_scheme_file_exits_one(tmp_path, capsys, doc, cause):
+    sf, out = tmp_path / "s.json", tmp_path / "p.json"
+    sf.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "generate", "--scheme-file", str(sf), "--T", "10", "-o", str(out))
+    assert code == 1 and not out.exists()
+    assert err.startswith(f"error: malformed scheme file: {cause}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_runtime_errors_exit_one(tmp_path, capsys):
     patch = tmp_path / "z.json"
     run(capsys, "generate", "--scheme", "lattice", "--T", "20", "-o", str(patch))

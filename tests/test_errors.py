@@ -231,12 +231,22 @@ def _periodize_at(q):
     (ValueError, "support radius must be finite", lambda tmp: sp.SampledFunction([[1.0, 0.0]], [1.0], math.nan)),
     (ValueError, "support radius must be finite", lambda tmp: sp.SampledFunction([[1.0, 0.0]], [1.0], -5.0)),
     (ValueError, "support radius must be finite", lambda tmp: sp.SampledFunction([[1.0, 0.0]], [1.0], math.inf)),
+    (ValueError, "t_hint must be finite", lambda tmp: ql.classify_pisot_salem(ql.IntPolynomial((1, -2, -1)), math.nan)),
+    (ValueError, "t_hint must be finite", lambda tmp: ql.classify_pisot_salem(ql.IntPolynomial((1, -2, -1)), math.inf)),
+    (ValueError, "x must be finite", lambda tmp: ql.recognize_algebraic_integer(math.nan)),
+    (ValueError, "x must be finite", lambda tmp: ql.recognize_algebraic_integer(math.inf)),
+    (ValueError, "x must be finite", lambda tmp: ql.classify_real(-math.inf)),
+    (ValueError, "threshold must be positive", lambda tmp: ql.check_meyerian(ql.model_set_1d(1, 10.0), threshold=math.nan)),
+    (ValueError, "threshold must be positive", lambda tmp: ql.check_meyerian(ql.model_set_1d(1, 10.0), threshold=math.inf)),
+    (ValueError, "threshold must be positive", lambda tmp: ql.check_meyerian(ql.model_set_1d(1, 10.0), threshold=-1.0)),
 ], ids=["palm-T", "palm-S", "autocorrelation-T", "autocorrelation-range", "twisted-density",
         "twisted-density-schedule", "diffraction-atom", "cli-S-nan", "cli-S-inf", "cli-S-negative",
         "sandwich-negative-h", "sandwich-zero-h", "sandwich-nan-h", "sandwich-coarse-h", "sandwich-zero-T_K",
         "sandwich-negative-T_K", "sandwich-nan-T", "projection-negative-h", "projection-nan-h",
         "projection-coarse-h", "projection-nan-T", "alignment-nan-R", "alignment-negative-R",
-        "periodization-nan-q", "support-nan", "support-negative", "support-inf"])
+        "periodization-nan-q", "support-nan", "support-negative", "support-inf", "pisot-nan-hint",
+        "pisot-inf-hint", "recognize-nan", "recognize-inf", "classify-real-negative-inf", "meyer-nan-threshold",
+        "meyer-inf-threshold", "meyer-negative-threshold"])
 def test_nan_radii_are_refused(tmp_path, capsys, expected, match, call):
     # Every comparison with NaN is false, so each check must be one NaN fails.
     with pytest.raises(expected, match=match):
