@@ -9,9 +9,11 @@ identical bytes.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -68,28 +70,15 @@ def _write(path: str, text: str) -> None:
         f.write(text + "\n")
 
 
-def patch_to_doc(P: PointPatch) -> dict:
-    g = P.group
-    points = [{"z": z, "q": q} for z, q in zip(P.z.tolist(), P.q.tolist())]
-    if P.exact is not None:
-        e = P.exact
-        z_pairs = np.stack([e.za, e.zb], axis=-1).tolist()
-        q_pairs = np.stack([e.qa, e.qb], axis=-1).tolist()
-        for entry, ez, eq in zip(points, z_pairs, q_pairs):
-            entry["exact"] = {"z": ez, "q": eq, "d": int(e.d)}
-    return {
-        "group": {
-            "dim_z": g.dim_z,
-            "dim_q": g.dim_q,
-            "matrices": [[[float(x) for x in row] for row in m] for m in g.cocycle.matrices],
-        },
-        "window_z": P.window_z,
-        "window_q": P.window_q,
-        "core_z": P.core_z,
-        "core_q": P.core_q,
-        "points": points,
-        "provenance": P.provenance,
-    }
+def _flat_block(rows: list, dtype, *shape: int) -> np.ndarray:
+    """The (len(rows), *shape) array of nested lists, read in one flat
+    pass after every level is checked for its length."""
+    items = rows
+    for width in shape:
+        if set(map(len, items)) - {width}:
+            raise ValueError(f"a patch file row has a length other than {width}")
+        items = list(chain.from_iterable(items))
+    return np.fromiter(items, dtype, count=len(items)).reshape(len(rows), *shape)
 
 
 def patch_from_doc(doc: dict) -> PointPatch:
@@ -108,15 +97,16 @@ def patch_from_doc(doc: dict) -> PointPatch:
         group = CentralExtensionGroup(cocycle)
         pts = doc["points"]
         n = len(pts)
-        z = np.array([p["z"] for p in pts], dtype=float).reshape(n, group.dim_z)
-        q = np.array([p["q"] for p in pts], dtype=float).reshape(n, group.dim_q)
+        z = _flat_block([p["z"] for p in pts], float, group.dim_z)
+        q = _flat_block([p["q"] for p in pts], float, group.dim_q)
         exact = None
         if n and all("exact" in p for p in pts):
-            radicands = sorted({int(p["exact"]["d"]) for p in pts})
+            ex = [p["exact"] for p in pts]
+            radicands = sorted({int(e["d"]) for e in ex})
             if len(radicands) > 1:
                 raise RadicandMismatchError(f"patch file: points carry radicands {radicands}")
-            z2 = np.array([p["exact"]["z"] for p in pts], dtype=np.int64).reshape(n, group.dim_z, 2)
-            q2 = np.array([p["exact"]["q"] for p in pts], dtype=np.int64).reshape(n, group.dim_q, 2)
+            z2 = _flat_block([e["z"] for e in ex], np.int64, group.dim_z, 2)
+            q2 = _flat_block([e["q"] for e in ex], np.int64, group.dim_q, 2)
             exact = ExactCoords(za=z2[..., 0], zb=z2[..., 1], qa=q2[..., 0], qb=q2[..., 1], d=radicands[0])
         windows = {k: float(doc[k]) for k in ("window_z", "window_q", "core_z", "core_q")}
         provenance = str(doc.get("provenance", ""))
@@ -136,12 +126,39 @@ def patch_from_doc(doc: dict) -> PointPatch:
 
 
 def save_patch(P: PointPatch, path: str) -> None:
-    _write(path, json.dumps(patch_to_doc(P)))
+    """Write the v1 document json.dumps would, one %-template per point
+    over the coordinate columns, so no point becomes a Python dict."""
+    g = P.group
+    head = json.dumps({
+        "group": {"dim_z": g.dim_z, "dim_q": g.dim_q,
+                  "matrices": [[[float(x) for x in row] for row in m] for m in g.cocycle.matrices]},
+        "window_z": P.window_z, "window_q": P.window_q, "core_z": P.core_z, "core_q": P.core_q,
+    })
+    join = ", ".join
+    point = '{"z": [%s], "q": [%s]' % (join(["%r"] * P.dim_z), join(["%r"] * P.dim_q))
+    columns = P.z.T.tolist() + P.q.T.tolist()
+    if P.exact is not None:
+        e = P.exact
+        pairs = (join(["[%d, %d]"] * P.dim_z), join(["[%d, %d]"] * P.dim_q), int(e.d))
+        point += ', "exact": {"z": [%s], "q": [%s], "d": %d}' % pairs
+        columns += np.stack([e.za, e.zb], axis=-1).reshape(P.n, 2 * P.dim_z).T.tolist()
+        columns += np.stack([e.qa, e.qb], axis=-1).reshape(P.n, 2 * P.dim_q).T.tolist()
+    rows = zip(*columns) if columns else [()] * P.n
+    points = join(map((point + "}").__mod__, rows))
+    _write(path, f'{head[:-1]}, "points": [{points}], "provenance": {json.dumps(P.provenance)}}}')
 
 
 def load_patch(path: str) -> PointPatch:
-    with open(path) as f:
-        return patch_from_doc(json.load(f))
+    """The patch a v1 file holds.  The cyclic collector is paused while the
+    acyclic JSON tree lives, since a collection then could free nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path) as f:
+            return patch_from_doc(json.load(f))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def scheme_from_doc(doc: dict) -> CutProjectScheme:
@@ -393,19 +410,10 @@ def _cmd_bragg(args, parser) -> int:
         parser.error(f"argument --eps: must lie in (0, 1), got {args.eps:g}")
     P = load_patch(args.inp)
     rep = bragg_scan(P, eps=args.eps, K=args.K, h=args.h, S=args.S, T=args.T)
+    tail = f"{_fmt(rep.c_1)},{_fmt(rep.eps)}"
+    rows = zip(rep.thetas.tolist(), rep.c_values.tolist(), rep.peak_mask.tolist())
     lines = ["theta,c_xi,is_peak,c_1,eps"]
-    for i in range(len(rep.thetas)):
-        lines.append(
-            ",".join(
-                [
-                    _fmt(rep.thetas[i, 0]) if rep.thetas.shape[1] == 1 else ";".join(_fmt(v) for v in rep.thetas[i]),
-                    _fmt(rep.c_values[i]),
-                    str(int(rep.peak_mask[i])),
-                    _fmt(rep.c_1),
-                    _fmt(rep.eps),
-                ]
-            )
-        )
+    lines += [f"{';'.join(map(_fmt, theta))},{c:.12g},{peak:d},{tail}" for theta, c, peak in rows]
     _write(args.out, "\n".join(lines))
     print(
         f"c_1={_fmt(rep.c_1)} peaks={int(rep.peak_mask.sum())} max_gap={_fmt(rep.max_gap)}"

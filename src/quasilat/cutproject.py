@@ -61,6 +61,8 @@ class CutProjectScheme:
     def __post_init__(self) -> None:
         if self.kind not in ("silver", "matrix"):
             raise ValueError(f"unknown scheme kind {self.kind!r}")
+        if self.physical_dim < 1:
+            raise ValueError(f"physical_dim must be at least 1, got {self.physical_dim}")
         if len(self.window) != self.internal_dim:
             raise ValueError("need one closed interval per internal dimension")
         for lo, hi in self.window:

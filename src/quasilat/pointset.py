@@ -212,6 +212,13 @@ def _as_block(arr, width: int) -> np.ndarray:
     return out
 
 
+def _check_finite(z: np.ndarray, q: np.ndarray) -> None:
+    """Refuse a NaN or infinite coordinate, which no key can place."""
+    for name, block in (("z", z), ("q", q)):
+        if not np.isfinite(block).all():
+            raise ValueError(f"{name} coordinates must be finite")
+
+
 @dataclass(frozen=True)
 class PointPatch:
     """Finite patch with declared generation window and trusted core.
@@ -236,6 +243,7 @@ class PointPatch:
         q = _as_block(self.q, self.group.dim_q)
         if len(z) != len(q):
             raise ValueError("z and q blocks disagree on point count")
+        _check_finite(z, q)
         z.setflags(write=False)
         q.setflags(write=False)
         object.__setattr__(self, "z", z)
@@ -370,6 +378,7 @@ def make_patch(
     store points in canonical order."""
     z = _as_block(z, group.dim_z)
     q = _as_block(q, group.dim_q)
+    _check_finite(z, q)  # before NaN reaches the quantized keys
     if len(z):
         keys = _key_matrix(z, q, exact)
         keep = _key_survivors(z, q, keys)

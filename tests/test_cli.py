@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import gc
 import json
 import math
 
@@ -265,7 +266,12 @@ def test_pisot_non_finite_inputs_exit_one(capsys, argv, named):
     ([1, 2], "TypeError"),
     ({"kind": "silver", "window": [[-1.0]]}, "ValueError"),
     ({"kind": "matrix", "window": [[-1.0, 1.0]], "basis": [[1.0, 1.0], [1.0, -1.0]]}, "KeyError"),
-], ids=["no-window", "list", "short-interval", "no-physical-dim"])
+    ({"kind": "matrix", "basis": [[1, 0.5], [0.25, -1]], "physical_dim": 0,
+      "window": [[-0.6, 0.6]] * 2}, "ValueError"),
+    ({"kind": "matrix", "basis": [[1, 0.5], [0.25, -1]], "physical_dim": -1,
+      "window": [[-0.6, 0.6]] * 3}, "ValueError"),
+], ids=["no-window", "list", "short-interval", "no-physical-dim", "physical-dim-zero",
+        "physical-dim-negative"])
 def test_malformed_scheme_file_exits_one(tmp_path, capsys, doc, cause):
     sf, out = tmp_path / "s.json", tmp_path / "p.json"
     sf.write_text(json.dumps(doc))
@@ -339,6 +345,12 @@ def test_loader_refuses_exact_float_disagreement(tmp_path, capsys):
     assert code == 1 and "disagree" in err
 
 
+def _float_key_rows(doc, z_of_row):
+    """doc without exact entries, the z of each row in z_of_row replaced."""
+    points = [{"z": z_of_row.get(i, p["z"]), "q": p["q"]} for i, p in enumerate(doc["points"])]
+    return {**doc, "points": points}
+
+
 def _set_exact_z(doc, value):
     doc["points"][0]["exact"]["z"][0] = [value, 0]
     doc["points"][0]["z"] = [float(value)]
@@ -354,6 +366,9 @@ def _set_exact_z(doc, value):
     lambda doc: {**doc, "points": [{"z": ["x"], "q": []}]},
     lambda doc: {**doc, "points": [{"z": [0.0]}]},
     lambda doc: {**doc, "points": [{"z": [0.0], "q": [], "exact": {"z": [[0]], "q": [], "d": 2}}]},
+    # A NaN z has no key of its own: unrefused, it would load as a duplicate point.
+    lambda doc: _float_key_rows(doc, {0: [math.nan]}),
+    lambda doc: _float_key_rows(doc, {0: [-2.0, 0.5], 1: []}),
     lambda doc: _set_exact_z(doc, 10 ** 21),
     lambda doc: _set_exact_z(doc, -(10 ** 21)),
     lambda doc: _set_exact_z(doc, 2 ** 62 + 1),
@@ -363,8 +378,8 @@ def _set_exact_z(doc, value):
     lambda doc: {**doc, "core_z": -1.0},
     lambda doc: {**doc, "window_z": 1.0, "core_z": 1.0},
 ], ids=["no-group", "not-an-object", "points-not-a-list", "no-dim-q", "window-not-a-number",
-        "z-not-a-number", "no-q", "half-a-pair", "beyond-int64", "below-int64", "beyond-coeff-limit",
-        "nan-core", "infinite", "negative-core", "points-outside-window"])
+        "z-not-a-number", "no-q", "half-a-pair", "nan-z", "ragged-z", "beyond-int64", "below-int64",
+        "beyond-coeff-limit", "nan-core", "infinite", "negative-core", "points-outside-window"])
 def test_malformed_patch_file_exits_one_without_traceback(tmp_path, capsys, damage):
     p, doc = _five_point_line(tmp_path, capsys)
     bad = damage(doc)
@@ -376,6 +391,71 @@ def test_malformed_patch_file_exits_one_without_traceback(tmp_path, capsys, dama
     assert code == 1 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_loader_leaves_the_collector_as_it_found_it(tmp_path, capsys, enabled):
+    good, doc = _five_point_line(tmp_path, capsys)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**doc, "points": 5}))
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert load_patch(str(good)).n == 5
+        assert gc.isenabled() is enabled
+        with pytest.raises(MalformedPatchError):
+            load_patch(str(bad))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def _reference_doc(P):
+    """The v1 document built one dict per point: json.dumps of it is the
+    reference save_patch must match byte for byte."""
+    g = P.group
+    points = [{"z": z, "q": q} for z, q in zip(P.z.tolist(), P.q.tolist())]
+    if P.exact is not None:
+        e = P.exact
+        z_pairs = np.stack([e.za, e.zb], axis=-1).tolist()
+        q_pairs = np.stack([e.qa, e.qb], axis=-1).tolist()
+        for entry, ez, eq in zip(points, z_pairs, q_pairs):
+            entry["exact"] = {"z": ez, "q": eq, "d": int(e.d)}
+    return {
+        "group": {
+            "dim_z": g.dim_z,
+            "dim_q": g.dim_q,
+            "matrices": [[[float(x) for x in row] for row in m] for m in g.cocycle.matrices],
+        },
+        "window_z": P.window_z,
+        "window_q": P.window_q,
+        "core_z": P.core_z,
+        "core_q": P.core_q,
+        "points": points,
+        "provenance": P.provenance,
+    }
+
+
+def test_saved_bytes_match_a_dict_per_point_encoder(tmp_path):
+    h3 = ql.integer_lattice_patch(ql.heisenberg_group(), 2, 1)
+    matrix = ql.generate_model_set(ql.matrix_scheme([[1, 0.5], [0.25, -1]], 1, [(-0.6, 0.6)]), 6)
+    signed_zero = ql.make_patch(ql.abelian_group(1), [[-0.0], [1.5]], np.zeros((2, 0)), 2, 0, 2, 0)
+    patches = {
+        "silver": ql.generate_model_set(ql.silver_scheme(-1, 1), 3000),
+        "h3": h3,
+        "signed-zero": signed_zero,
+        "lattice-dim-2": ql.integer_lattice_patch(ql.abelian_group(2), 3),
+        "matrix": matrix,
+        "project": ql.project(h3),
+        "empty": ql.make_patch(ql.abelian_group(1), np.zeros((0, 1)), np.zeros((0, 0)), 1, 0, 1, 0),
+        "no-columns": ql.make_patch(ql.abelian_group(0), np.zeros((2, 0)), np.zeros((2, 0)), 1, 0, 1, 0),
+    }
+    assert patches["silver"].exact.max_abs() >= 1000 and matrix.exact is None
+    assert "-0.0" in json.dumps(_reference_doc(signed_zero))
+    for name, P in patches.items():
+        path = tmp_path / f"{name}.json"
+        save_patch(P, str(path))
+        assert path.read_text() == json.dumps(_reference_doc(P)) + "\n", name
 
 
 def _set_radicand(doc, d, first=0):
