@@ -71,13 +71,16 @@ def _write(path: str, text: str) -> None:
 
 
 def _flat_block(rows: list, dtype, *shape: int) -> np.ndarray:
-    """The (len(rows), *shape) array of nested lists, read in one flat
-    pass after every level is checked for its length."""
+    """The (len(rows), *shape) array of nested lists, read in one flat pass
+    after each level's lengths and the entries' JSON types are checked."""
     items = rows
     for width in shape:
         if set(map(len, items)) - {width}:
             raise ValueError(f"a patch file row has a length other than {width}")
         items = list(chain.from_iterable(items))
+    ints = dtype is np.int64
+    if set(map(type, items)) - ({int} if ints else {int, float}):  # type(True) is bool, not int
+        raise ValueError(f"a patch file coordinate is not a JSON {'integer' if ints else 'number'}")
     return np.fromiter(items, dtype, count=len(items)).reshape(len(rows), *shape)
 
 

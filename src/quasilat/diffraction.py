@@ -21,8 +21,8 @@ from .errors import CORE_PAD, DegenerateDensityError, InsufficientWindowError, c
 from .group import ball_volume, gauge_ball_volume
 from .pointset import (
     BALL_PAD, QUANT, SEARCH_PAD, ExactCoords, PointPatch, group_rows,
-    _SEARCH_BLOCK, _as_block, _expand_ranges, _fiber_index, _interleave, _mixed_radix, _pair_pieces, _quant_keys,
-    _trapezoid,
+    _SEARCH_BLOCK, _as_block, _dense_span, _expand_ranges, _fiber_index, _interleave, _mixed_radix, _pair_pieces,
+    _quant_keys, _sum_radix, _trapezoid, _unpack,
 )
 from .spectral import (
     Character,
@@ -77,7 +77,6 @@ class WeightedPointMeasure:
 
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd, so multiplying by it permutes uint64
-_DENSE_SPAN = 4  # count packed keys in a table when their span is at most this many times the rows
 
 
 def _aggregate_keys(
@@ -86,8 +85,8 @@ def _aggregate_keys(
     """Sum counts (one per row when omitted) over equal rows of the integer
     key columns; returns (unique rows in lexicographic order, summed counts).
     radix is (packed, lows, spans) when the caller has packed the columns.
-    Packed keys are counted in a table when their span is at most
-    _DENSE_SPAN times the rows, and sorted otherwise."""
+    Packed keys are counted in a table when _dense_span accepts their
+    span, and sorted otherwise."""
     radix = radix or _mixed_radix(cols)
     if radix is None:
         keys = np.column_stack(cols)
@@ -96,8 +95,9 @@ def _aggregate_keys(
         return keys[order[starts]], np.add.reduceat(counts[order], starts)
     packed, lo, spans = radix
     # The table spans the keys present, which a piece of pairs keeps narrow.
-    first, span = (int(packed.min()), int(np.ptp(packed)) + 1) if len(packed) else (0, 0)
-    if span <= _DENSE_SPAN * len(packed):
+    dense = _dense_span(packed)
+    if dense is not None:
+        first, span = dense
         # Every count is positive, so the keys present are the nonzero bins.
         summed = np.bincount(packed - first, counts, span)
         packed = np.flatnonzero(summed)
@@ -109,32 +109,13 @@ def _aggregate_keys(
     else:
         packed, inverse = np.unique(packed, return_inverse=True)
         summed = np.bincount(inverse, weights=counts, minlength=len(packed))
-    uniq = np.empty((len(packed), len(spans)), dtype=np.int64)
-    for k in range(len(spans) - 1, -1, -1):
-        packed, uniq[:, k] = np.divmod(packed, spans[k])
-    return uniq + np.array(lo, dtype=np.int64), summed.astype(np.int64)
+    return _unpack(packed, lo, spans), summed.astype(np.int64)
 
 
 def _norm(cols: Sequence[np.ndarray]) -> np.ndarray:
     """Euclidean norm of rows given as one array per coordinate; for one
     coordinate the square root of its square is its abs exactly."""
     return np.abs(cols[0]) if len(cols) == 1 else np.sqrt(sum(c * c for c in cols))
-
-
-def _pair_radix(zk: np.ndarray, shifts: np.ndarray):
-    """One int64 key per pair for the (slot, dz) columns of the exact
-    pairs, dz = zk[y] - zk[x] - shifts[slot], as pt[y] + bases[slot] -
-    pt[x].  Returns (pt, bases, lows, spans), or None when the spans,
-    bounded from the extents of zk and of the shifts, multiply past 2**62."""
-    z_lo, z_hi, s_lo, s_hi = (v.tolist() for v in (zk.min(0), zk.max(0), shifts.min(0), shifts.max(0)))
-    spans = [len(shifts)] + [2 * (b - a) + d - c + 1 for a, b, c, d in zip(z_lo, z_hi, s_lo, s_hi)]
-    if math.prod(spans) > 2**62:
-        return None
-    strides = np.cumprod(np.array([1] + spans[:0:-1], dtype=np.int64))[::-1]
-    # Each digit sum stays inside its span, so no int64 intermediate wraps.
-    top = np.array(z_hi, dtype=np.int64) - z_lo
-    bases = np.arange(len(shifts)) * strides[0] + (top + (s_hi - shifts)) @ strides[1:]
-    return (zk - z_lo) @ strides[1:], bases, [0] + [a - b - d for a, b, d in zip(z_lo, z_hi, s_hi)], spans
 
 
 def _run_classes(starts: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -192,8 +173,11 @@ def _window_autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedP
     if exact_mode:
         # One (a, b) pair per z coordinate, in the ExactCoords.key_matrix layout.
         zk = _interleave(P.exact.za, P.exact.zb)[order]
+        zk0 = np.column_stack([np.zeros(n, dtype=np.int64), zk])
         qa, qb = P.exact.qa[heads], P.exact.qb[heads]
-    if len(starts) > 1:  # a flat patch is one class
+    # A flat patch is one fiber: one class, one combination, no fan-out.
+    one = len(starts) == 1
+    if not one:
         z_rows = np.hstack([P.z[order].view(np.int64)] + ([zk] if exact_mode else []))
         x_class[fx], y_class = _run_classes(x_first[fx], z_rows[xs]), _run_classes(starts, z_rows)
     width = 2 * (dim_z + P.dim_q) if exact_mode else dim_z + P.dim_q
@@ -212,12 +196,15 @@ def _window_autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedP
         else:
             shift, q_keys = np.zeros((len(fi), 0), dtype=np.int64), _quant_keys(deltas[cj] - deltas[fi])
         # Combinations sorted by key (combo_order); the first of each run is the representative.
-        combo_order, firsts = group_rows(np.column_stack([x_class[fi], y_class[cj], *beta.view(np.int64).T, *shift.T]))
+        combo_order, firsts = (np.zeros(1, dtype=np.int64),) * 2 if one else group_rows(
+            np.column_stack([x_class[fi], y_class[cj], *beta.view(np.int64).T, *shift.T]))
         rep = combo_order[firsts]
         rep_x, rep_y, beta, shift = fi[rep], cj[rep], beta[rep], shift[rep]
-        radix = _pair_radix(zk, shift) if exact_mode else None
+        # A pair's key (slot, dz) is the sum of (0, zk[y]), (0, -zk[x]) and (slot, -shift[slot]).
+        offsets = np.column_stack([np.arange(len(rep)), -shift])
+        radix = _sum_radix(zk0, -zk0, offsets.min(0), offsets.max(0)) if exact_mode else None
         if radix is not None:
-            pt, bases, lows, spans = radix
+            pt, pt_x, offset, lows, spans = radix
         # One query per (representative, x row): its slot in rep and the x row src in zs.
         slot, xi = _expand_ranges(x_first[rep_x], x_first[rep_x] + x_sizes[rep_x])
         src = xs[xi]
@@ -234,7 +221,7 @@ def _window_autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedP
                 end[act] += step
                 act = act[lo[act] < hi[act]]
         if radix is not None:
-            qo = bases[slot] - pt[src]
+            qo = offset(offsets)[slot] + pt_x[src]
         elif exact_mode:
             x_exact = zk[src] + shift[slot]
         hist, hist_counts = [], []
@@ -259,6 +246,10 @@ def _window_autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedP
         # Queries, and so pieces, run slot by slot: each slot's (slot, z-key)
         # counts are one run of hist, which every combination of its key takes.
         hist, hist_counts = np.concatenate(hist), np.concatenate(hist_counts)
+        if one:
+            all_keys.append(np.column_stack([hist[:, 1:], np.repeat(q_keys, len(hist), axis=0)]))
+            all_counts.append(hist_counts)
+            continue
         bounds = np.searchsorted(hist[:, 0], np.arange(len(rep) + 1))
         combo_slot = np.repeat(np.arange(len(rep)), np.diff(np.append(firsts, len(fi))))
         combo, h = _expand_ranges(bounds[combo_slot], bounds[combo_slot + 1])
@@ -268,8 +259,7 @@ def _window_autocorrelation(P: PointPatch, T: float, range_: float) -> WeightedP
         all_counts.append(cnt)
     keys, counts = _aggregate_keys(list(np.concatenate(all_keys).T), np.concatenate(all_counts))
     if exact_mode:
-        m = 2 * dim_z
-        exact = ExactCoords(za=keys[:, 0:m:2], zb=keys[:, 1:m:2], qa=keys[:, m::2], qb=keys[:, m + 1::2], d=P.exact.d)
+        exact = ExactCoords.from_key_matrix(keys, dim_z, P.exact.d)
         z_atoms, q_atoms = exact.embed_z(), exact.embed_q()
     else:
         exact = None

@@ -104,13 +104,18 @@ class Cocycle:
         (..., dim_q) inputs.  The size bound is checked before any product
         is formed, so int64 never wraps."""
         va, vb, wa, wb = (np.asarray(x, dtype=np.int64) for x in (va, vb, wa, wb))
-        M = self._stack.astype(np.int64)
-        weight = int(np.abs(M).sum(axis=(1, 2)).max(initial=0))
-        (av, bv), (aw, bw) = ((_max_abs(a), _max_abs(b)) for a, b in ((va, vb), (wa, wb)))
-        if max(av * aw + d * bv * bw, av * bw + bv * aw) * weight > COEFF_LIMIT:
+        if max(self.exact_bounds((_max_abs(va), _max_abs(vb)), (_max_abs(wa), _max_abs(wb)), d)) > COEFF_LIMIT:
             raise CoefficientOverflowError("exact cocycle products would exceed the safe limit")
+        M = self._stack.astype(np.int64)
         # (a1 + b1 rt)(a2 + b2 rt) = (a1 a2 + d b1 b2) + (a1 b2 + b1 a2) rt
         return _bilinear(M, va, wa) + d * _bilinear(M, vb, wb), _bilinear(M, va, wb) + _bilinear(M, vb, wa)
+
+    def exact_bounds(self, v: tuple[int, int], w: tuple[int, int], d: int) -> tuple[int, int]:
+        """Bounds on |a| and |b| of beta_exact over inputs whose a and b
+        parts are bounded by v and w, in Python ints."""
+        weight = int(np.abs(self._stack.astype(np.int64)).sum(axis=(1, 2)).max(initial=0))
+        (av, bv), (aw, bw) = v, w
+        return (av * aw + d * bv * bw) * weight, (av * bw + bv * aw) * weight
 
 
 def _bilinear(M: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -76,11 +76,6 @@ class ExactCoords:
     def n(self) -> int:
         return len(self.za)
 
-    @classmethod
-    def concat(cls, parts: Sequence["ExactCoords"]) -> "ExactCoords":
-        fields = ("za", "zb", "qa", "qb")
-        return cls(*(np.concatenate([getattr(e, f) for e in parts]) for f in fields), d=parts[0].d)
-
     def take(self, idx: np.ndarray) -> "ExactCoords":
         return ExactCoords(self.za[idx], self.zb[idx], self.qa[idx], self.qb[idx], self.d)
 
@@ -96,6 +91,12 @@ class ExactCoords:
     def key_matrix(self) -> np.ndarray:
         """Integer key columns za0, zb0, za1, zb1, ..., then qa0, qb0, ..."""
         return np.hstack([_interleave(self.za, self.zb), self.q_key_matrix()])
+
+    @classmethod
+    def from_key_matrix(cls, keys: np.ndarray, dim_z: int, d: int) -> "ExactCoords":
+        """The coordinates whose key_matrix is keys, for dim_z z coordinates."""
+        m = 2 * dim_z
+        return cls(keys[:, 0:m:2], keys[:, 1:m:2], keys[:, m::2], keys[:, m + 1 :: 2], d=d)
 
     def q_key_matrix(self) -> np.ndarray:
         return _interleave(self.qa, self.qb)
@@ -141,6 +142,21 @@ def _mixed_radix(cols: Sequence[np.ndarray]) -> Optional[tuple[np.ndarray, list[
         packed += col
         packed -= b
     return packed, lows, spans
+
+
+def _unpack(packed: np.ndarray, lows: Sequence[int], spans: Sequence[int]) -> np.ndarray:
+    """The integer key rows of mixed-radix keys, column 0 most significant."""
+    rows = np.empty((len(packed), len(spans)), dtype=np.int64)
+    for k in range(len(spans) - 1, -1, -1):
+        packed, rows[:, k] = np.divmod(packed, spans[k])
+    return rows + np.array(lows, dtype=np.int64)
+
+
+def _dense_span(packed: np.ndarray) -> Optional[tuple[int, int]]:
+    """(lowest key, span) of the packed keys when a table over the span,
+    at most _DENSE_SPAN entries per key, beats sorting them; else None."""
+    first, span = (int(packed.min()), int(np.ptp(packed)) + 1) if len(packed) else (0, 0)
+    return (first, span) if span <= _DENSE_SPAN * len(packed) else None
 
 
 def group_rows(keys: np.ndarray, tiebreak: Sequence[np.ndarray] = ()) -> tuple[np.ndarray, np.ndarray]:
@@ -200,8 +216,8 @@ def _expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     [lo[i], hi[i]) of a sorted array."""
     counts = hi - lo
     rows = np.repeat(np.arange(len(lo), dtype=np.int64), counts)
-    offsets = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-    cols = np.repeat(lo, counts) + offsets
+    cols = np.arange(int(counts.sum()), dtype=np.int64)
+    cols += np.repeat(lo - (np.cumsum(counts) - counts), counts)
     return rows, cols
 
 
@@ -348,19 +364,31 @@ def _canonical_perm(z: np.ndarray, q: np.ndarray, keys: np.ndarray) -> np.ndarra
 
 
 def _key_survivors(z: np.ndarray, q: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """One row per distinct key: its lowest row in (q, z) order, earliest
-    on ties, which is the row a canonical sort would put first.  The
-    survivor of a union of row sets is the survivor of their survivors."""
-    # Per-run minima cost less than adding the floats to the sort.
-    order, starts = group_rows(keys)
-    sizes = np.diff(np.append(starts, len(order)))
-    best = np.ones(len(order), dtype=bool)
-    for col in tuple(q.T) + tuple(z.T):
-        vals = col[order]
-        vals[~best] = np.inf
-        best &= vals == np.repeat(np.minimum.reduceat(vals, starts), sizes)
-    rows = np.flatnonzero(best)
-    return order[rows[np.searchsorted(rows, starts)]]
+    """One row per distinct key (integer rows, or one int64 per row packed
+    in their order), in ascending key order: its lowest row in (q, z)
+    order, earliest on ties (of +0.0 and -0.0 the earlier), the row a
+    canonical sort would put first.  A key's slot is its offset in a span
+    _dense_span accepts, else its rank in a group_rows sort; a table over
+    the slots keeps each slot's lowest value column by column (by
+    np.minimum.at), then its earliest row."""
+    packed = keys if keys.ndim == 1 else (_mixed_radix(list(keys.T)) or [None])[0] if keys.shape[1] else None
+    dense = _dense_span(packed) if packed is not None else None
+    if dense is not None:
+        slot, span = packed - dense[0], dense[1]
+    else:
+        order, starts = group_rows(np.reshape(keys if packed is None else packed, (len(keys), -1)))
+        slot, span = np.empty(len(order), dtype=np.int64), len(starts)
+        slot[order] = np.repeat(np.arange(span), np.diff(np.append(starts, len(order))))
+    best = np.ones(len(slot), dtype=bool)
+    low = np.empty(span)  # one table serves every column, then the row indices
+    for k, col in enumerate(tuple(q.T) + tuple(z.T)):
+        low.fill(np.inf)
+        np.minimum.at(low, slot, np.where(best, col, np.inf) if k else col)
+        best &= col == low[slot]
+    head = low.view(np.int64)
+    head.fill(len(slot))
+    np.minimum.at(head, slot[best], np.flatnonzero(best))
+    return head[head < len(slot)]
 
 
 def make_patch(
@@ -456,41 +484,64 @@ def integer_lattice_patch(
     )
 
 
+def _sum_radix(k1: np.ndarray, k2: np.ndarray, o_lo: np.ndarray, o_hi: np.ndarray):
+    """(K1, K2, offset, lows, spans): one mixed radix for sums of integer
+    key rows k1[x] + k2[y] + o, offset rows o (or their leading columns)
+    within [o_lo, o_hi], packed as K1[x] + K2[y] + offset(o) and unpacked
+    by _unpack(packed, lows, spans); None past 2**62."""
+    (l1, h1), (l2, h2) = ((k.min(0).tolist(), k.max(0).tolist()) for k in (k1, k2))
+    lows = [a + b + c for a, b, c in zip(l1, l2, o_lo.tolist())]
+    spans = [a + b + c - lo + 1 for a, b, c, lo in zip(h1, h2, o_hi.tolist(), lows)]
+    if math.prod(spans) > 2**62:
+        return None
+    w = np.array([math.prod(spans[k + 1 :]) for k in range(len(spans))], dtype=np.int64)
+    # Each digit stays inside its span, so no int64 intermediate wraps.
+    return (k1 - l1) @ w, (k2 - l2) @ w, lambda o: (o - o_lo[: o.shape[1]]) @ w[: o.shape[1]], lows, spans
+
+
 def _pair_products(
-    p1: PointPatch, p2: PointPatch, x: np.ndarray, y: np.ndarray, exact_keys: bool
-) -> tuple[np.ndarray, np.ndarray, Optional[ExactCoords]]:
-    """z, q and, with exact_keys, exact coordinates of the products
-    p1[x] * p2[y]."""
+    p1: PointPatch, p2: PointPatch, x: np.ndarray, y: np.ndarray, exact_keys: bool, radix=None, counts=None
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """z, q and, with exact_keys, the exact keys of the products p1[x] *
+    p2[y], each x[i] taken counts[i] times when counts is given: packed by
+    radix, the _sum_radix of p1 and p2, when given, else rows in the
+    ExactCoords.key_matrix layout."""
     g = p1.group
     mixed = g.dim_q and g.dim_z
 
-    def rows(arrays, idx):
-        # np.take gathers short rows far faster than indexing, but is slow
-        # on zero-width blocks, which have nothing to gather.
-        return [np.take(a, idx, axis=0) if a.shape[1] else np.empty((len(idx), 0), a.dtype) for a in arrays]
+    def rows(arrays, idx, counts=None):
+        # np.take gathers short rows far faster than indexing, but it and
+        # np.repeat are slow on zero-width blocks, which hold nothing.
+        out = [np.take(a, idx, axis=0) if a.shape[1] else np.empty((len(y), 0), a.dtype) for a in arrays]
+        return [np.repeat(a, counts, axis=0) if counts is not None and a.shape[1] else a for a in out]
 
-    (z1, q1), (z2, q2) = rows((p1.z, p1.q), x), rows((p2.z, p2.q), y)
+    (z1, q1), (z2, q2) = rows((p1.z, p1.q), x, counts), rows((p2.z, p2.q), y)
     z = z1 + z2
     if mixed:
-        z = z + g.cocycle.beta(q1, q2)
+        z += g.cocycle.beta(q1, q2)
     if not exact_keys:
         return z, q1 + q2, None
-    fields = ("za", "zb", "qa", "qb")
-    za1, zb1, qa1, qb1 = rows([getattr(p1.exact, f) for f in fields], x)
-    za2, zb2, qa2, qb2 = rows([getattr(p2.exact, f) for f in fields], y)
-    beta = g.cocycle.beta_exact(qa1, qb1, qa2, qb2, p1.exact.d) if mixed else ()
+    e1, e2 = p1.exact, p2.exact
+    (qa1, qb1), (qa2, qb2) = rows((e1.qa, e1.qb), x, counts), rows((e2.qa, e2.qb), y)
+    beta = _interleave(*g.cocycle.beta_exact(qa1, qb1, qa2, qb2, e1.d)) if mixed else np.zeros((len(y), 0), np.int64)
+    if radix is not None:
+        keys = np.take(radix[0], x) if counts is None else np.repeat(np.take(radix[0], x), counts)
+        keys += np.take(radix[1], y)
+        if mixed:
+            keys += radix[2](beta)
+        return z, q1 + q2, keys
+    (k1,), (k2,) = rows((p1.key_matrix,), x, counts), rows((p2.key_matrix,), y)
     # Bound the sums in Python ints before forming them, so int64 never wraps.
-    if _max_abs(za1, zb1, qa1, qb1) + _max_abs(za2, zb2, qa2, qb2) + _max_abs(*beta) > COEFF_LIMIT:
+    if _max_abs(k1) + _max_abs(k2) + _max_abs(beta) > COEFF_LIMIT:
         raise CoefficientOverflowError("product coordinates exceed the safe limit")
-    za, zb = za1 + za2, zb1 + zb2
-    if mixed:
-        za = za + beta[0]
-        zb = zb + beta[1]
-    return z, q1 + q2, ExactCoords(za=za, zb=zb, qa=qa1 + qa2, qb=qb1 + qb2, d=p1.exact.d)
+    k1 += k2
+    k1[:, : beta.shape[1]] += beta
+    return z, q1 + q2, k1
 
 
 _SEARCH_BLOCK = 1 << 18  # (p1 row, p2 fiber) tests per block of the candidate search
 _PAIR_CHUNK = 1 << 16  # candidate pairs formed and deduplicated at a time
+_DENSE_SPAN = 4  # a table over packed keys is used when their span is at most this many times the rows
 
 
 def _pair_pieces(counts: np.ndarray) -> list[tuple[int, int]]:
@@ -544,7 +595,12 @@ def minkowski(p1: PointPatch, p2: PointPatch, z_box: float = math.inf, q_box: fl
     piece deduplicated by key as it is formed; the default infinite box
     keeps the whole product.  The candidate count (n * m for an
     unclipped call) is checked against the "product" size cap before
-    any pair array exists.
+    any pair array exists.  With exact keys whose sums fit, each factor's
+    keys are packed once (_sum_radix), so a pair's key is one sum, and a
+    piece keeps by _key_survivors the lowest (q, z) row of each key, the
+    earliest on ties: from a table over the piece's key span, or by a
+    sort when that span is sparse.  Past 2**62 or COEFF_LIMIT, and for
+    float keys, the pieces sort key rows.
 
     The window grows by the cocycle drift; the trusted core follows
     core' = max(core(p1) - window(p2), 0) per block, which degenerates
@@ -572,14 +628,24 @@ def minkowski(p1: PointPatch, p2: PointPatch, z_box: float = math.inf, q_box: fl
     # Count in a first search and form the pairs in a second, so no more
     # than one block of ranges is held before the cap is checked.
     check_size("product", sum(int((hi - lo).sum()) for _, lo, hi in pieces()))
+    p2 = p2.take(order)  # so the rows of a range are adjacent
+    radix = None
+    if exact_keys and p1.n and p2.n:
+        # Exact product keys pack into one int64 when every sum is within
+        # the limit; otherwise each piece forms and bounds its coordinates.
+        bound = g.cocycle.exact_bounds(*((_max_abs(e.qa), _max_abs(e.qb)) for e in (e1, e2)), e1.d)
+        if e1.max_abs() + e2.max_abs() + max(bound) <= COEFF_LIMIT:
+            pad = np.array([*bound] * g.dim_z + [0, 0] * g.dim_q, dtype=np.int64)
+            radix = _sum_radix(p1.key_matrix, p2.key_matrix, -pad, pad)
     kept = []
     for x, lo, hi in pieces():
-        rows, cols = _expand_ranges(lo, hi)
-        z, q, exact = _pair_products(p1, p2, x[rows], order[cols], exact_keys)
-        keep = _key_survivors(z, q, _key_matrix(z, q, exact))
-        kept.append((z[keep], q[keep], exact.take(keep) if exact_keys else None))
+        z, q, keys = _pair_products(p1, p2, x, _expand_ranges(lo, hi)[1], exact_keys, radix, hi - lo)
+        keep = _key_survivors(z, q, _quant_keys(np.hstack([z, q])) if keys is None else keys)
+        if exact_keys:
+            keys = keys[keep] if radix is None else _unpack(keys[keep], *radix[3:])
+        kept.append((z[keep], q[keep], keys))
     none = np.zeros(0, dtype=np.int64)
-    zs, qs, exacts = zip(*kept or [_pair_products(p1, p2, none, none, exact_keys)])
+    zs, qs, keys = zip(*kept or [_pair_products(p1, p2, none, none, exact_keys)])
     drift = g.cocycle.box_drift(p1.window_q, p2.window_q)
     prod = make_patch(
         group=g,
@@ -590,7 +656,7 @@ def minkowski(p1: PointPatch, p2: PointPatch, z_box: float = math.inf, q_box: fl
         core_z=max(p1.core_z - p2.window_z - drift, 0.0),
         core_q=max(p1.core_q - p2.window_q, 0.0),
         provenance=f"minkowski({_short(p1.provenance)},{_short(p2.provenance)})",
-        exact=ExactCoords.concat(exacts) if exact_keys else None,
+        exact=ExactCoords.from_key_matrix(np.concatenate(keys), g.dim_z, e1.d) if exact_keys else None,
     )
     if z_box == math.inf and q_box == math.inf:
         return prod
@@ -634,7 +700,7 @@ def translate(p: PointPatch, g_elt: GroupElement) -> PointPatch:
     shift_z = max(map(abs, g_elt.z), default=0.0)
     shift_q = max(map(abs, g_elt.q), default=0.0)
     one = PointPatch(g, [g_elt.z], [g_elt.q], shift_z, shift_q, shift_z, shift_q, exact=g_exact)
-    z, q, exact = _pair_products(one, p, np.zeros(p.n, dtype=np.int64), np.arange(p.n), exact_keys)
+    z, q, keys = _pair_products(one, p, np.zeros(p.n, dtype=np.int64), np.arange(p.n), exact_keys)
     drift = g.cocycle.box_drift(shift_q, p.window_q)
     return make_patch(
         group=g,
@@ -645,7 +711,7 @@ def translate(p: PointPatch, g_elt: GroupElement) -> PointPatch:
         core_z=max(p.core_z - shift_z - drift, 0.0),
         core_q=max(p.core_q - shift_q, 0.0),
         provenance=f"translate({_short(p.provenance)})",
-        exact=exact,
+        exact=ExactCoords.from_key_matrix(keys, g.dim_z, p.exact.d) if exact_keys else None,
     )
 
 

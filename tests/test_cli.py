@@ -357,6 +357,12 @@ def _set_exact_z(doc, value):
     return doc
 
 
+def _set_point(doc, i, z, exact_z):
+    doc["points"][i]["z"] = z
+    doc["points"][i]["exact"]["z"] = exact_z
+    return doc
+
+
 @pytest.mark.parametrize("damage", [
     lambda doc: {"window_z": 1.0},
     lambda doc: [doc],
@@ -377,9 +383,15 @@ def _set_exact_z(doc, value):
     lambda doc: {**doc, "window_z": math.inf, "core_z": math.inf},
     lambda doc: {**doc, "core_z": -1.0},
     lambda doc: {**doc, "window_z": 1.0, "core_z": 1.0},
+    # JSON values that are not numbers, and exact coefficients that are not integers.
+    lambda doc: _set_point(doc, 4, ["2"], [["2", 0]]),
+    lambda doc: _set_point(doc, 4, [True], [[True, 0]]),
+    lambda doc: _set_point(doc, 4, [2.0], [[2.9, 0]]),
+    lambda doc: _set_point(doc, 4, [2.0], [[2.0, 0]]),
 ], ids=["no-group", "not-an-object", "points-not-a-list", "no-dim-q", "window-not-a-number",
         "z-not-a-number", "no-q", "half-a-pair", "nan-z", "ragged-z", "beyond-int64", "below-int64",
-        "beyond-coeff-limit", "nan-core", "infinite", "negative-core", "points-outside-window"])
+        "beyond-coeff-limit", "nan-core", "infinite", "negative-core", "points-outside-window",
+        "string-z", "bool-z", "fractional-exact", "float-exact"])
 def test_malformed_patch_file_exits_one_without_traceback(tmp_path, capsys, damage):
     p, doc = _five_point_line(tmp_path, capsys)
     bad = damage(doc)

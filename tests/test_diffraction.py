@@ -402,8 +402,8 @@ KERNEL_CASES = {
 def test_kernel_equals_the_per_pair_filter(case):
     P, T, range_ = KERNEL_CASES[case]()
     radices = []
-    pair_radix = df._pair_radix
-    with patch.object(df, "_pair_radix", lambda *a: radices.append(pair_radix(*a)) or radices[-1]):
+    sum_radix = df._sum_radix
+    with patch.object(df, "_sum_radix", lambda *a: radices.append(sum_radix(*a)) or radices[-1]):
         eta = df.autocorrelation(P, T, range_)
     assert eta.n_atoms > 1
     assert _atom_bytes(eta) == _atom_bytes(_reference_autocorrelation(P, T, range_))

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quasilat as ql
-from quasilat.errors import RadicandMismatchError
+from quasilat.errors import CoefficientOverflowError, RadicandMismatchError
+from quasilat.ring import COEFF_LIMIT
 
 coord = st.integers(min_value=-50, max_value=50)
 triple = st.tuples(coord, coord, coord)
@@ -156,6 +157,53 @@ def test_cocycle_drift_bounds_hold():
     assert vals.max() <= beta.box_drift(3.0, 7.0) + 1e-12
     norms = np.linalg.norm(U, axis=1)[:, None] * np.linalg.norm(V, axis=1)[None, :]
     assert np.all(vals <= beta.drift_bound * norms + 1e-12)
+
+
+# Small coefficients, and coefficients near 2**31 and 2**62 of either sign.
+BIG_COEFF = st.one_of(
+    st.integers(-9, 9),
+    *(st.integers(c - 4, c + 4).map(lambda v, s=s: s * v) for c in (2**31, 2**62) for s in (1, -1)),
+)
+
+
+@st.composite
+def integral_cocycle_inputs(draw):
+    """(cocycle, d, [va, vb, wa, wb]) for a random integral cocycle and a few
+    rows of exact q coordinates a + b*sqrt(d)."""
+    dim_z, dim_q = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    mats = []
+    for _ in range(dim_z):
+        m = np.zeros((dim_q, dim_q))
+        for i in range(dim_q):
+            for j in range(i + 1, dim_q):
+                m[i, j] = draw(st.integers(-3, 3))
+                m[j, i] = -m[i, j]
+        mats.append(m)
+    rows = draw(st.integers(1, 3))
+    blocks = [np.array(draw(st.lists(st.lists(BIG_COEFF, min_size=dim_q, max_size=dim_q),
+                                     min_size=rows, max_size=rows)), dtype=np.int64) for _ in range(4)]
+    return ql.Cocycle.from_matrices(mats, dim_q=dim_q), draw(st.sampled_from([2, 3, 5, 7])), blocks
+
+
+@settings(max_examples=300, deadline=None)
+@given(integral_cocycle_inputs())
+def test_beta_exact_matches_python_int_arithmetic(case):
+    cocycle, d, (va, vb, wa, wb) = case
+    M = [[[int(x) for x in row] for row in m] for m in cocycle.stack]
+    n, dim_q = va.shape
+    va, vb, wa, wb = (x.tolist() for x in (va, vb, wa, wb))
+    # (a1 + b1 rt)(a2 + b2 rt) = (a1 a2 + d b1 b2) + (a1 b2 + b1 a2) rt, summed over M[k]
+    want_a = [[sum(m[i][j] * (va[r][i] * wa[r][j] + d * vb[r][i] * wb[r][j])
+                   for i in range(dim_q) for j in range(dim_q)) for m in M] for r in range(n)]
+    want_b = [[sum(m[i][j] * (va[r][i] * wb[r][j] + vb[r][i] * wa[r][j])
+                   for i in range(dim_q) for j in range(dim_q)) for m in M] for r in range(n)]
+    too_big = max(abs(v) for part in (want_a, want_b) for row in part for v in row) > COEFF_LIMIT
+    try:
+        a, b = cocycle.beta_exact(np.array(va), np.array(vb), np.array(wa), np.array(wb), d)
+    except CoefficientOverflowError:
+        return  # the bound is conservative, so a refusal is allowed at any size
+    assert not too_big
+    assert a.tolist() == want_a and b.tolist() == want_b
 
 
 def test_cocycle_integrality_flag():

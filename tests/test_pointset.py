@@ -18,7 +18,7 @@ from quasilat.errors import (
     RadicandMismatchError,
     SizeLimitError,
 )
-from quasilat.pointset import _PAIR_CHUNK, group_rows
+from quasilat.pointset import BALL_PAD, _PAIR_CHUNK, _dense_span, _sum_radix, group_rows
 
 S2 = math.sqrt(2.0)
 
@@ -187,6 +187,123 @@ def test_box_clipped_minkowski_equals_restrict_after_product(product_cases, case
     z_box = data.draw(st.one_of(BOX_EDGES, st.sampled_from(np.abs(full.z).ravel().tolist())))
     q_box = data.draw(st.one_of(BOX_EDGES, st.sampled_from(np.abs(full.q).ravel().tolist() or [0.0])))
     assert_same_patch(ql.minkowski(p1, p2, z_box, q_box), full.restrict(z_box, q_box))
+
+
+def _brute_minkowski(p1, p2, z_box=math.inf, q_box=math.inf):
+    """(z, q, keys) of minkowski(p1, p2, z_box, q_box) from every pair in
+    Python ints and floats.  Pairs run x ascending and y in the fiber order
+    minkowski searches (q-key, then z_0, then row); each exact key keeps the
+    lowest (q, z) floats, the first pair on ties, so of +0.0 and -0.0 the
+    earlier one.  Cocycle terms are exact floats here: the mixed patches
+    have integer q."""
+    g, d, nz = p1.group, p1.exact.d, 2 * p1.dim_z
+    M = [[[int(v) for v in row] for row in m] for m in g.cocycle.stack]
+    k1, k2 = p1.key_matrix.tolist(), p2.key_matrix.tolist()
+    z1, z2, q1, q2 = p1.z.tolist(), p2.z.tolist(), p1.q.tolist(), p2.q.tolist()
+    best = {}
+    for x in range(p1.n):
+        for y in sorted(range(p2.n), key=lambda y: (k2[y][nz:], z2[y][:1], y)):
+            va, vb, wa, wb = k1[x][nz::2], k1[x][nz + 1 :: 2], k2[y][nz::2], k2[y][nz + 1 :: 2]
+            beta = []
+            for m in M:
+                pairs = [(m[i][j], i, j) for i in range(len(m)) for j in range(len(m))]
+                beta += [sum(c * (va[i] * wa[j] + d * vb[i] * wb[j]) for c, i, j in pairs),
+                         sum(c * (va[i] * wb[j] + vb[i] * wa[j]) for c, i, j in pairs)]
+            beta += [0] * (len(k1[x]) - nz)
+            key = tuple(a + b + c for a, b, c in zip(k1[x], k2[y], beta))
+            z = tuple(a + b for a, b in zip(z1[x], z2[y]))
+            if p1.dim_q:  # as in minkowski, a flat product adds no cocycle term, not even +0.0
+                z = tuple(v + float(c) for v, c in zip(z, beta[0:nz:2]))
+            cand = (tuple(a + b for a, b in zip(q1[x], q2[y])), z)
+            if key not in best or cand < best[key]:
+                best[key] = cand
+    rows = sorted((q, z, key) for key, (q, z) in best.items()
+                  if all(abs(v) <= z_box + BALL_PAD for v in z) and all(abs(v) <= q_box + BALL_PAD for v in q))
+    return (np.array([r[1] for r in rows], dtype=float).reshape(len(rows), p1.dim_z),
+            np.array([r[0] for r in rows], dtype=float).reshape(len(rows), p1.dim_q),
+            np.array([r[2] for r in rows], dtype=np.int64).reshape(len(rows), p1.key_matrix.shape[1]))
+
+
+def assert_matches_brute_force(p1, p2, z_box=math.inf, q_box=math.inf):
+    got = ql.minkowski(p1, p2, z_box, q_box)
+    z, q, keys = _brute_minkowski(p1, p2, z_box, q_box)
+    assert got.z.tobytes() == z.tobytes() and got.q.tobytes() == q.tobytes()
+    assert np.array_equal(got.key_matrix, keys)
+
+
+def _flat_sqrt2(coeffs):
+    za, zb = (np.array([[c[k]] for c in coeffs], dtype=np.int64).reshape(-1, 1) for k in (0, 1))
+    none = np.zeros((len(coeffs), 0), dtype=np.int64)
+    w = float(np.abs(za + S2 * zb).max()) + 1.0
+    return ql.patch_from_exact(ql.abelian_group(1), ql.ExactCoords(za, zb, none, none, d=2), w, 0.0, w, 0.0)
+
+
+def _h3_exact(rows):
+    r = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    wz, wq = float(np.abs(r[:, 0]).max()), float(np.abs(r[:, 1:]).max())
+    return ql.patch_from_exact(ql.heisenberg_group(), ql.ExactCoords.from_int_rows(r[:, :1], r[:, 1:]), wz, wq, wz, wq)
+
+
+SMALL = st.integers(-4, 4)
+FACTORS = st.one_of(
+    st.lists(st.tuples(SMALL, SMALL), min_size=1, max_size=12, unique=True).map(lambda c: ("flat", c)),
+    st.lists(st.tuples(SMALL, SMALL, SMALL), min_size=1, max_size=12, unique=True).map(lambda c: ("h3", c)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_minkowski_matches_an_all_pairs_brute_force(data):
+    kind, c1 = data.draw(FACTORS)
+    make = _flat_sqrt2 if kind == "flat" else _h3_exact
+    c2 = data.draw(FACTORS.filter(lambda f: f[0] == kind))[1]
+    # Inverse sets carry -0.0 rows; boxes clip the product.
+    p1, p2 = (ql.inverse_set(p) if data.draw(st.booleans()) else p for p in (make(c1), make(c2)))
+    assert_matches_brute_force(p1, p2, data.draw(st.one_of(st.just(math.inf), BOX_EDGES)),
+                               data.draw(st.one_of(st.just(math.inf), BOX_EDGES)))
+
+
+def test_minkowski_matches_the_brute_force_on_sparse_keys_and_past_the_radix():
+    # Keys far apart: no table over their span, so the pieces are sorted.
+    P = _flat_sqrt2([(0, 0), (1000, 0), (0, 1000), (-700, 3)])
+    none = np.zeros(2, dtype=np.int64)
+    k1, k2 = _sum_radix(P.key_matrix, P.key_matrix, none, none)[:2]
+    assert _dense_span((k1[:, None] + k2[None, :]).ravel()) is None
+    assert_matches_brute_force(P, P)
+    assert_matches_brute_force(ql.inverse_set(P), P, 500.0)
+    # Spans multiplying past 2**62: no packed key at all, though every sum fits.
+    Q = _flat_sqrt2([(0, 0), (2**31, 0), (0, 2**31), (-(2**31), 5)])
+    assert _sum_radix(Q.key_matrix, Q.key_matrix, none, none) is None
+    assert_matches_brute_force(Q, Q)
+    assert_matches_brute_force(ql.inverse_set(Q), Q)
+
+
+def test_minkowski_matches_the_brute_force_on_a_dense_h3_product(monkeypatch):
+    # A full lattice box: every pair key, cocycle term included, falls in a narrow span.
+    P = small_h3_patch(window_z=2.0, window_q=1.0)
+    Pinv = ql.inverse_set(P)
+    seen = []  # (keys, span) per dedupe
+    dense_span = ql.pointset._dense_span
+    monkeypatch.setattr(ql.pointset, "_dense_span", lambda k: seen.append((len(k), dense_span(k))) or seen[-1][1])
+    assert_matches_brute_force(Pinv, P)
+    assert any(n == P.n * P.n and span is not None for n, span in seen)
+
+
+@pytest.mark.parametrize("dense_span", [4, 0], ids=["table", "sorted"])
+def test_minkowski_keeps_the_earlier_of_a_signed_zero_tie(monkeypatch, dense_span):
+    # _DENSE_SPAN = 0 sends every piece to the sorted path.
+    monkeypatch.setattr(ql.pointset, "_DENSE_SPAN", dense_span)
+    # inverse {1, 0, -1} = {-1, -0.0, 1}: (-1) + 1 = +0.0 comes before (-0.0) + (-0.0).
+    P = ql.inverse_set(_flat_sqrt2([(-1, 0), (0, 0), (1, 0)]))
+    zero = ql.minkowski(P, P).z[:, 0]
+    assert zero[1:-1][len(zero) // 2 - 1] == 0 and not np.signbit(zero[zero == 0]).any()
+    # {-0.0, 1} * {-1, -0.0}: (-0.0) + (-0.0) = -0.0 comes before 1 + (-1) = +0.0.
+    A = ql.inverse_set(_flat_sqrt2([(0, 0), (-1, 0)]))
+    B = ql.inverse_set(_flat_sqrt2([(1, 0), (0, 0)]))
+    zero = ql.minkowski(A, B).z[:, 0]
+    assert np.signbit(zero[zero == 0]).tolist() == [True]
+    assert_matches_brute_force(P, P)
+    assert_matches_brute_force(A, B)
 
 
 def _rows_last_beta(cocycle, v, w):
